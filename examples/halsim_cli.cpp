@@ -210,20 +210,6 @@ main(int argc, char **argv)
                   cfg.slo.target_p99_us = *x;
                   return {};
               });
-    reg.value("--run-threads", "N",
-              "time-parallel engine worker threads (0 = monolithic)",
-              [&](const std::string &v) -> std::string {
-                  const auto x = parseNumber(v);
-                  if (!x || *x < 0.0)
-                      return "needs a non-negative count, got '" + v +
-                             "'";
-                  cfg.run_threads = static_cast<unsigned>(*x);
-                  // The partitioned engine excludes the watchdog's
-                  // cross-wheel probes; drop it so plain hal runs
-                  // qualify.
-                  cfg.watchdog.enabled = false;
-                  return {};
-              });
     reg.value("--stats-out", "PATH", "write the stats tree here",
               [&](const std::string &v) -> std::string {
                   stats_out = v;
@@ -248,13 +234,6 @@ main(int argc, char **argv)
                     ? funcs::functionName(*cfg.pipeline_second)
                     : "",
                 trace ? net::traceName(*trace) : "constant");
-    if (cfg.run_threads > 0)
-        std::printf("engine       %s\n",
-                    sys.partitioned()
-                        ? (cfg.run_threads >= 2
-                               ? "partitioned (3 wheels, threaded)"
-                               : "partitioned (3 wheels, sequential)")
-                        : "monolithic (config not partitionable)");
     std::printf("offered      %8.2f Gbps\n", r.offered_gbps);
     std::printf("delivered    %8.2f Gbps (max window %.2f)\n",
                 r.delivered_gbps, r.max_window_gbps);

@@ -3,10 +3,11 @@
  * DEFLATE (RFC 1951) compressor and decompressor: the substrate for
  * the paper's (de)compression function, which drives the BF-2 Deflate
  * accelerator or the host's QATzip. We implement LZ77 with a 32 KiB
- * window and hash-chain matching, emitting stored or fixed-Huffman
- * blocks; the inflater decodes both. (Dynamic-Huffman blocks are not
- * produced and are rejected on decode — the accelerator-equivalent
- * fast path in real deployments also prefers static tables.)
+ * window and hash-chain matching, and emit one block in whichever of
+ * the fixed- and dynamic-Huffman encodings is smaller (dynamic only
+ * when DeflateConfig::allow_dynamic, the default), falling back to
+ * stored blocks when compression would expand the data. The inflater
+ * decodes all three block types.
  */
 
 #ifndef HALSIM_ALG_DEFLATE_HH

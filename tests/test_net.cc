@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "net/addr.hh"
@@ -15,6 +17,7 @@
 #include "net/client.hh"
 #include "net/link.hh"
 #include "net/packet.hh"
+#include "net/timed_channel.hh"
 #include "net/traffic.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -238,6 +241,77 @@ TEST(Link, TailDropsWhenSaturated)
     eq.run();
     EXPECT_EQ(sink.arrivals.size(), 4u);
     EXPECT_EQ(link.drops(), 6u);
+}
+
+namespace {
+
+/** Logs each delivery as (tick, packet id) and can push follow-ups. */
+struct LoggingReceiver : TimedChannel::Receiver
+{
+    using Log = std::vector<std::pair<Tick, std::uint64_t>>;
+
+    LoggingReceiver(EventQueue &eq, Log &log) : eq(eq), log(log) {}
+
+    void
+    channelDeliver(PacketPtr pkt) override
+    {
+        log.emplace_back(eq.now(), pkt->id);
+        // Pushes made from inside a delivery: one while later entries
+        // are still queued, one after the channel has drained.
+        if (pkt->id == 3)
+            push(20, 9);
+        if (pkt->id == 9)
+            push(30, 10);
+    }
+
+    void
+    push(Tick when, std::uint64_t id)
+    {
+        PacketPtr pkt = testFrame(64);
+        pkt->id = id;
+        chan->push(when, std::move(pkt));
+    }
+
+    EventQueue &eq;
+    Log &log;
+    TimedChannel *chan = nullptr;
+};
+
+} // namespace
+
+TEST(TimedChannel, ExecutesInTickThenReservationOrder)
+{
+    EventQueue eq;
+    LoggingReceiver::Log log;
+    LoggingReceiver rx(eq, log);
+    TimedChannel chan(eq, rx);
+    rx.chan = &chan;
+    auto mark = [&log, &eq](std::uint64_t id) {
+        return [&log, &eq, id] { log.emplace_back(eq.now(), id); };
+    };
+
+    // Channel pushes interleaved with plain events; the id is the
+    // order of the call that reserved each slot.
+    rx.push(10, 1);
+    eq.scheduleFn(mark(2), 10);
+    rx.push(10, 3);
+    CallbackEvent early(mark(4));
+    eq.schedule(&early, 5);
+    rx.push(20, 5);
+    eq.scheduleFn(mark(6), 10);
+    rx.push(20, 7);
+    eq.scheduleFn(mark(8), 20);
+    EXPECT_EQ(chan.pending(), 4u);
+
+    eq.run();
+
+    const LoggingReceiver::Log want{{5, 4},  {10, 1}, {10, 2}, {10, 3},
+                                    {10, 6}, {20, 5}, {20, 7}, {20, 8},
+                                    {20, 9}, {30, 10}};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(chan.pending(), 0u);
+    // Six deliveries plus four plain events, one executed event each.
+    EXPECT_EQ(eq.executed(), want.size());
 }
 
 TEST(Traffic, ConstantRateSpacing)

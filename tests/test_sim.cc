@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -260,6 +261,35 @@ TEST(EventQueue, NextTickSeesThroughTombstones)
     eq.scheduleFn([] {}, 20);
     eq.deschedule(&a);
     EXPECT_EQ(eq.nextTick(), 20u);
+}
+
+TEST(EventQueue, ReservedKeyKeepsReservationOrder)
+{
+    // A key reserved early but scheduled late must still run where
+    // the reservation point dictates among same-tick events.
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t early = eq.reserveKey();
+    eq.scheduleFn([&order] { order.push_back(2); }, 50);
+    CallbackEvent first([&order] { order.push_back(1); });
+    eq.scheduleKeyed(&first, 50, early);
+    eq.run();
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0], 1);
+    EXPECT_EQ(order[1], 2);
+}
+
+TEST(EventQueue, RunUntilClampsTimeOnDrain)
+{
+    // Time reaches the bound even when the queue drains before it, so
+    // back-to-back windows (warmup, measure, drain) start where the
+    // previous one ended.
+    EventQueue eq;
+    eq.scheduleFn([] {}, 10);
+    EXPECT_EQ(eq.runUntil(100), 1u);
+    EXPECT_EQ(eq.now(), Tick{100});
+    EXPECT_EQ(eq.runUntil(250), 0u);
+    EXPECT_EQ(eq.now(), Tick{250});
 }
 
 TEST(Accumulator, Moments)
