@@ -3,11 +3,14 @@
  * Google-benchmark micro-benchmarks for the algorithm substrates and
  * hot simulator paths: Aho-Corasick scan rate, DEFLATE compression,
  * SHA-256, modexp, internet checksum (full vs incremental), event
- * queue throughput, and the coherence directory.
+ * queue throughput, and the coherence directory. Every function of
+ * the perfbench `kernels` workload (comp, crypto, rem) has a
+ * per-packet benchmark here.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 #include "alg/aho_corasick.hh"
@@ -18,6 +21,7 @@
 #include "alg/prefilter.hh"
 #include "alg/sha256.hh"
 #include "coherence/domain.hh"
+#include "funcs/content.hh"
 #include "net/checksum.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -40,6 +44,28 @@ BM_AhoCorasickScan(benchmark::State &state)
                             static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_AhoCorasickScan)->Arg(100)->Arg(2500);
+
+void
+BM_AhoCountMatches(benchmark::State &state)
+{
+    // The REM function's per-packet scan: its default ruleset over
+    // payload-sized windows of its scan corpus.
+    const funcs::RemFunction::Config cfg;
+    const auto rules = alg::makeRuleset(cfg.ruleset, cfg.rules, cfg.seed);
+    alg::AhoCorasick ac(rules);
+    const auto text =
+        alg::makeScanStream(1 << 16, rules, cfg.hit_rate, cfg.seed ^ 0xC0);
+    const auto len = static_cast<std::size_t>(state.range(0));
+    std::size_t off = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ac.countMatches(
+            std::span<const std::uint8_t>(text.data() + off, len)));
+        off = (off + 4099) % (text.size() - len);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_AhoCountMatches)->Arg(1458);
 
 void
 BM_PrefilterScan(benchmark::State &state)
@@ -107,6 +133,38 @@ BM_Modexp512(benchmark::State &state)
         benchmark::DoNotOptimize(base.modexp(exp, p));
 }
 BENCHMARK(BM_Modexp512)->Arg(32)->Arg(512);
+
+void
+BM_CryptoProcess(benchmark::State &state)
+{
+    // CryptoFunction::process on MTU requests from its own generator:
+    // an even RSA / DH / DSA mix. Each call restores the request first.
+    funcs::CryptoFunction crypto;
+    coherence::StateContext st(nullptr, coherence::NodeId::Snic);
+    Rng rng(13);
+    std::vector<net::PacketPtr> pkts;
+    std::vector<std::vector<std::uint8_t>> requests;
+    for (int i = 0; i < 64; ++i) {
+        pkts.push_back(net::makeUdpPacket(
+            net::MacAddr::fromUint(1), net::MacAddr::fromUint(2),
+            net::Ipv4Addr(10, 0, 0, 1), net::Ipv4Addr(10, 0, 0, 2), 40000,
+            9000, {}, net::kMtuFrameBytes));
+        crypto.makeRequest(*pkts.back(), rng);
+        const auto p = pkts.back()->payload();
+        requests.emplace_back(p.begin(), p.end());
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto p = pkts[i]->payload();
+        std::memcpy(p.data(), requests[i].data(), p.size());
+        crypto.process(*pkts[i], st);
+        benchmark::DoNotOptimize(p.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % pkts.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CryptoProcess);
 
 void
 BM_ChecksumFull(benchmark::State &state)

@@ -12,80 +12,17 @@ using Limb = std::uint32_t;
 using DLimb = std::uint64_t;
 constexpr unsigned kLimbBits = 32;
 
-/** -m^-1 mod 2^32 for odd m, by Newton iteration. */
-Limb
-montInverse(Limb m0)
+__extension__ typedef unsigned __int128 Wide;   // 64x64 -> 128 products
+
+/** -m^-1 mod 2^64 for odd m, by Newton iteration. */
+std::uint64_t
+montInverse(std::uint64_t m0)
 {
     assert(m0 & 1);
-    Limb x = 1;
+    std::uint64_t x = m0;   // m0 * m0 == 1 mod 8: 3 correct bits
     for (int i = 0; i < 5; ++i)
-        x *= 2 - m0 * x;   // doubles correct bits each round
-    return static_cast<Limb>(0) - x;
-}
-
-/**
- * Montgomery CIOS multiply-reduce: returns a*b*R^-1 mod m where
- * R = 2^(32n). All operands are n limbs, a,b < m, m odd.
- */
-void
-montMul(const std::vector<Limb> &a, const std::vector<Limb> &b,
-        const std::vector<Limb> &m, Limb mprime, std::vector<Limb> &out,
-        std::vector<Limb> &t)
-{
-    const std::size_t n = m.size();
-    t.assign(n + 2, 0);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const DLimb ai = i < a.size() ? a[i] : 0;
-        // t += ai * b
-        DLimb carry = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            const DLimb bj = j < b.size() ? b[j] : 0;
-            const DLimb cur = t[j] + ai * bj + carry;
-            t[j] = static_cast<Limb>(cur);
-            carry = cur >> kLimbBits;
-        }
-        DLimb cur = static_cast<DLimb>(t[n]) + carry;
-        t[n] = static_cast<Limb>(cur);
-        t[n + 1] = static_cast<Limb>(cur >> kLimbBits);
-
-        // Reduce: add mf * m and shift one limb.
-        const Limb mf = static_cast<Limb>(t[0] * mprime);
-        carry = (static_cast<DLimb>(t[0]) +
-                 static_cast<DLimb>(mf) * m[0]) >> kLimbBits;
-        for (std::size_t j = 1; j < n; ++j) {
-            const DLimb c2 =
-                t[j] + static_cast<DLimb>(mf) * m[j] + carry;
-            t[j - 1] = static_cast<Limb>(c2);
-            carry = c2 >> kLimbBits;
-        }
-        cur = static_cast<DLimb>(t[n]) + carry;
-        t[n - 1] = static_cast<Limb>(cur);
-        t[n] = t[n + 1] + static_cast<Limb>(cur >> kLimbBits);
-        t[n + 1] = 0;
-    }
-
-    // t[0..n] holds the result; subtract m once if needed.
-    bool ge = t[n] != 0;
-    if (!ge) {
-        ge = true;
-        for (std::size_t i = n; i-- > 0;) {
-            if (t[i] != m[i]) {
-                ge = t[i] > m[i];
-                break;
-            }
-        }
-    }
-    out.assign(t.begin(), t.begin() + n);
-    if (ge) {
-        DLimb borrow = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const DLimb diff =
-                static_cast<DLimb>(out[i]) - m[i] - borrow;
-            out[i] = static_cast<Limb>(diff);
-            borrow = (diff >> kLimbBits) & 1;
-        }
-    }
+        x *= 2 - m0 * x;    // doubles correct bits each round
+    return 0 - x;
 }
 
 } // namespace
@@ -130,8 +67,11 @@ BigUint
 BigUint::fromBytes(std::span<const std::uint8_t> bytes)
 {
     BigUint r;
-    for (std::uint8_t b : bytes)
-        r = (r << 8) + BigUint(b);
+    r.limbs_.assign((bytes.size() + 3) / 4, 0);
+    for (std::size_t k = 0; k < bytes.size(); ++k)   // k-th byte from the end
+        r.limbs_[k / 4] |= static_cast<Limb>(bytes[bytes.size() - 1 - k])
+                           << (8 * (k % 4));
+    r.trim();
     return r;
 }
 
@@ -185,15 +125,10 @@ BigUint::toHex() const
 std::vector<std::uint8_t>
 BigUint::toBytes() const
 {
-    std::vector<std::uint8_t> out;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-        out.push_back(static_cast<std::uint8_t>(limbs_[i] >> 24));
-        out.push_back(static_cast<std::uint8_t>(limbs_[i] >> 16));
-        out.push_back(static_cast<std::uint8_t>(limbs_[i] >> 8));
-        out.push_back(static_cast<std::uint8_t>(limbs_[i]));
-    }
-    while (out.size() > 1 && out.front() == 0)
-        out.erase(out.begin());
+    std::vector<std::uint8_t> out((bitLength() + 7) / 8);
+    for (std::size_t k = 0; k < out.size(); ++k)   // k-th byte from the end
+        out[out.size() - 1 - k] =
+            static_cast<std::uint8_t>(limbs_[k / 4] >> (8 * (k % 4)));
     return out;
 }
 
@@ -449,45 +384,13 @@ BigUint::modexp(const BigUint &e, const BigUint &m) const
         return BigUint();
     if (e.isZero())
         return BigUint(1);
+    if (MontgomeryContext::supports(m))
+        return MontgomeryContext(m).modexp(*this, e);
 
-    const BigUint base = *this % m;
-
-    if (m.isOdd()) {
-        // Montgomery ladder over R = 2^(32n).
-        const std::size_t n = m.limbs_.size();
-        const Limb mp = montInverse(m.limbs_[0]);
-        // R mod m and base*R mod m via one divmod each.
-        BigUint r1 = (BigUint(1) << (static_cast<unsigned>(n) * kLimbBits))
-                     % m;
-        BigUint bm = (base << (static_cast<unsigned>(n) * kLimbBits)) % m;
-        std::vector<Limb> acc = r1.limbs_;
-        acc.resize(n, 0);
-        std::vector<Limb> bmont = bm.limbs_;
-        bmont.resize(n, 0);
-        std::vector<Limb> tmp, scratch;
-        tmp.reserve(n);
-        scratch.reserve(n + 2);
-        for (unsigned i = e.bitLength(); i-- > 0;) {
-            montMul(acc, acc, m.limbs_, mp, tmp, scratch);
-            acc.swap(tmp);
-            if (e.bit(i)) {
-                montMul(acc, bmont, m.limbs_, mp, tmp, scratch);
-                acc.swap(tmp);
-            }
-        }
-        // Convert out of Montgomery form: multiply by 1.
-        std::vector<Limb> one(n, 0);
-        one[0] = 1;
-        montMul(acc, one, m.limbs_, mp, tmp, scratch);
-        BigUint out;
-        out.limbs_ = std::move(tmp);
-        out.trim();
-        return out;
-    }
-
-    // Even modulus: plain square-and-multiply with divmod reduction.
+    // Even (or oversized) modulus: plain square-and-multiply with
+    // divmod reduction.
     BigUint result(1);
-    BigUint b = base;
+    BigUint b = *this < m ? *this : *this % m;
     for (unsigned i = 0; i < e.bitLength(); ++i) {
         if (e.bit(i))
             result = (result * b) % m;
@@ -588,6 +491,124 @@ BigUint::isProbablePrime(halsim::Rng &rng, int rounds) const
             return false;
     }
     return true;
+}
+
+bool
+MontgomeryContext::supports(const BigUint &m)
+{
+    return m.isOdd() && m > BigUint(1) && m.bitLength() <= kMaxBits;
+}
+
+MontgomeryContext::MontgomeryContext(const BigUint &m) : m_(m)
+{
+    assert(supports(m));
+    n_ = (m.limbs_.size() + 1) / 2;
+    toWords(m, m64_);
+    minv_ = montInverse(m64_[0]);
+    toWords((BigUint(1) << static_cast<unsigned>(128 * n_)) % m, r2_);
+    Words one{};
+    one[0] = 1;
+    montMul(one.data(), r2_.data(), r1_.data());
+}
+
+void
+MontgomeryContext::toWords(const BigUint &x, Words &out)
+{
+    for (std::size_t i = 0; i < x.limbs_.size(); ++i)
+        out[i / 2] |= static_cast<std::uint64_t>(x.limbs_[i])
+                      << (32 * (i % 2));
+}
+
+/**
+ * Montgomery CIOS multiply-reduce: out = a*b*R^-1 mod m, all operands
+ * n words, a, b < m.
+ */
+void
+MontgomeryContext::montMul(const std::uint64_t *a, const std::uint64_t *b,
+                           std::uint64_t *out) const
+{
+    const std::size_t n = n_;
+    const std::uint64_t *m = m64_.data();
+    std::array<std::uint64_t, kMaxWords + 2> t;
+    std::fill_n(t.begin(), n + 2, 0);
+
+    for (std::size_t i = 0; i < n; ++i) {
+        // t += a[i] * b
+        const std::uint64_t ai = a[i];
+        std::uint64_t carry = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const Wide cur = static_cast<Wide>(ai) * b[j] + t[j] + carry;
+            t[j] = static_cast<std::uint64_t>(cur);
+            carry = static_cast<std::uint64_t>(cur >> 64);
+        }
+        Wide cur = static_cast<Wide>(t[n]) + carry;
+        t[n] = static_cast<std::uint64_t>(cur);
+        t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
+
+        // Reduce: add mf * m, which clears t[0], and shift one word.
+        const std::uint64_t mf = t[0] * minv_;
+        carry = static_cast<std::uint64_t>(
+            (static_cast<Wide>(mf) * m[0] + t[0]) >> 64);
+        for (std::size_t j = 1; j < n; ++j) {
+            const Wide c2 = static_cast<Wide>(mf) * m[j] + t[j] + carry;
+            t[j - 1] = static_cast<std::uint64_t>(c2);
+            carry = static_cast<std::uint64_t>(c2 >> 64);
+        }
+        cur = static_cast<Wide>(t[n]) + carry;
+        t[n - 1] = static_cast<std::uint64_t>(cur);
+        t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
+    }
+
+    // t[0..n] < 2m; subtract m once if needed.
+    bool ge = t[n] != 0;
+    if (!ge) {
+        ge = true;
+        for (std::size_t i = n; i-- > 0;) {
+            if (t[i] != m[i]) {
+                ge = t[i] > m[i];
+                break;
+            }
+        }
+    }
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t sub = ge ? m[i] : 0;
+        const Wide diff = static_cast<Wide>(t[i]) - sub - borrow;
+        out[i] = static_cast<std::uint64_t>(diff);
+        borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
+    }
+}
+
+BigUint
+MontgomeryContext::modexp(const BigUint &base, const BigUint &e) const
+{
+    if (e.isZero())
+        return BigUint(1);
+    const BigUint reduced = base < m_ ? BigUint() : base % m_;
+    const BigUint &b = base < m_ ? base : reduced;
+
+    // Into Montgomery form: b * R^2 / R = b * R mod m.
+    Words bm{};
+    toWords(b, bm);
+    montMul(bm.data(), r2_.data(), bm.data());
+
+    Words acc = r1_;
+    for (unsigned i = e.bitLength(); i-- > 0;) {
+        montMul(acc.data(), acc.data(), acc.data());
+        if (e.bit(i))
+            montMul(acc.data(), bm.data(), acc.data());
+    }
+    // Out of Montgomery form: multiply by 1.
+    Words one{};
+    one[0] = 1;
+    montMul(acc.data(), one.data(), acc.data());
+
+    BigUint out;
+    out.limbs_.resize(2 * n_);
+    for (std::size_t i = 0; i < 2 * n_; ++i)
+        out.limbs_[i] = static_cast<Limb>(acc[i / 2] >> (32 * (i % 2)));
+    out.trim();
+    return out;
 }
 
 namespace groups {

@@ -10,6 +10,7 @@
 #ifndef HALSIM_ALG_BIGNUM_HH
 #define HALSIM_ALG_BIGNUM_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -79,7 +80,9 @@ class BigUint
     BigUint operator/(const BigUint &d) const;
     BigUint operator%(const BigUint &d) const;
 
-    /** (this ^ e) mod m via left-to-right square-and-multiply. */
+    /** (this ^ e) mod m: Montgomery square-and-multiply for odd m
+     *  (a MontgomeryContext per call; keep one per modulus when it is
+     *  reused), divmod reduction otherwise. */
     BigUint modexp(const BigUint &e, const BigUint &m) const;
 
     /** Modular inverse via extended Euclid; zero when none exists. */
@@ -92,9 +95,52 @@ class BigUint
     bool isProbablePrime(halsim::Rng &rng, int rounds = 16) const;
 
   private:
+    friend class MontgomeryContext;
+
     void trim();
 
     std::vector<std::uint32_t> limbs_;
+};
+
+/**
+ * Montgomery arithmetic for one odd modulus: R^2 mod m and
+ * -m^-1 mod 2^64 are computed once, so an exponentiation needs no
+ * division. Works on 64-bit words (CIOS with 128-bit products) in
+ * fixed stack arrays, for moduli up to kMaxBits bits.
+ */
+class MontgomeryContext
+{
+  public:
+    static constexpr unsigned kMaxBits = 4096;
+
+    /** True when @p m is odd, above 1, and at most kMaxBits bits. */
+    static bool supports(const BigUint &m);
+
+    /** @pre supports(m). */
+    explicit MontgomeryContext(const BigUint &m);
+
+    const BigUint &modulus() const { return m_; }
+
+    /** (base ^ e) mod m; the same value as base.modexp(e, m). */
+    BigUint modexp(const BigUint &base, const BigUint &e) const;
+
+  private:
+    static constexpr std::size_t kMaxWords = kMaxBits / 64;
+    using Words = std::array<std::uint64_t, kMaxWords>;
+
+    /** OR @p x (below 2^kMaxBits) into zeroed 64-bit words. */
+    static void toWords(const BigUint &x, Words &out);
+
+    /** out = a * b / R mod m; a, b < m. @p out may alias either. */
+    void montMul(const std::uint64_t *a, const std::uint64_t *b,
+                 std::uint64_t *out) const;
+
+    BigUint m_;
+    std::size_t n_ = 0;          //!< 64-bit words in m
+    std::uint64_t minv_ = 0;     //!< -m^-1 mod 2^64
+    Words m64_{};                //!< m
+    Words r2_{};                 //!< R^2 mod m, R = 2^(64 n)
+    Words r1_{};                 //!< R mod m (1 in Montgomery form)
 };
 
 /** Result pair of BigUint::divmod(). */

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
-#include <queue>
+#include <limits>
 #include <stdexcept>
 
 namespace halsim::alg {
@@ -14,7 +15,12 @@ namespace {
 // RFC 1951 length/distance code tables.
 constexpr int kMinMatch = 3;
 constexpr int kMaxMatch = 258;
-constexpr int kWindowSize = 32768;
+constexpr std::size_t kWindowSize = 32768;
+
+// Hash chains over 3-byte prefixes. Both the table size and the chain
+// semantics shape the output: collisions use up max_chain probes.
+constexpr std::size_t kHashBits = 15;
+constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
 
 constexpr std::uint16_t kLengthBase[29] = {
     3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43,
@@ -36,92 +42,162 @@ constexpr std::uint8_t kClPermutation[19] = {
 
 constexpr int kLitLenSymbols = 286;
 constexpr int kDistSymbols = 30;
+constexpr int kClSymbols = 19;
+constexpr int kMaxCodeBits = 15;
 
-/** Length (bytes) -> length code index 0..28. */
-int
-lengthCode(int len)
+/** The low @p nbits of @p code in reverse order: Huffman codes are
+ *  sent MSB-first through an LSB-first bit stream. */
+constexpr std::uint32_t
+reverseBits(std::uint32_t code, int nbits)
 {
-    assert(len >= kMinMatch && len <= kMaxMatch);
-    for (int c = 28; c >= 0; --c)
-        if (len >= kLengthBase[c])
-            return c;
-    return 0;
+    std::uint32_t rev = 0;
+    for (int i = 0; i < nbits; ++i)
+        rev |= ((code >> i) & 1u) << (nbits - 1 - i);
+    return rev;
 }
 
-/** Distance -> distance code index 0..29. */
-int
-distCode(int dist)
+/** Fixed literal/length code for symbol 0..287: (code, bits). */
+std::pair<std::uint32_t, int>
+fixedLitCode(int sym)
 {
-    assert(dist >= 1 && dist <= kWindowSize);
-    for (int c = 29; c >= 0; --c)
-        if (dist >= kDistBase[c])
-            return c;
-    return 0;
+    if (sym <= 143)
+        return {0x30 + sym, 8};               // 00110000 ..
+    if (sym <= 255)
+        return {0x190 + (sym - 144), 9};      // 110010000 ..
+    if (sym <= 279)
+        return {sym - 256, 7};                // 0000000 ..
+    return {0xc0 + (sym - 280), 8};           // 11000000 ..
 }
 
-/** LSB-first bit writer per the DEFLATE bit packing rules. */
+/**
+ * Static code tables: O(1) length and distance codes (zlib's
+ * _length_code/_dist_code layout) and the fixed-Huffman codes, stored
+ * bit-reversed for the LSB-first writer.
+ */
+struct CodeTables
+{
+    std::array<std::uint8_t, kMaxMatch + 1> lengthCode{};
+    /** [d] for d = dist-1 < 256, else [256 + (d >> 7)]. */
+    std::array<std::uint8_t, 512> distCode{};
+    std::array<std::uint16_t, 288> fixedLit{};
+    std::array<std::uint8_t, 288> fixedLitLen{};
+    std::array<std::uint8_t, kDistSymbols> fixedDist{};
+
+    CodeTables()
+    {
+        for (int c = 0; c < 29; ++c) {
+            const int last = c == 28 ? kMaxMatch : kLengthBase[c + 1] - 1;
+            for (int len = kLengthBase[c]; len <= last; ++len)
+                lengthCode[static_cast<std::size_t>(len)] =
+                    static_cast<std::uint8_t>(c);
+        }
+        for (int c = 0; c < kDistSymbols; ++c) {
+            const int last = c == kDistSymbols - 1
+                                 ? static_cast<int>(kWindowSize)
+                                 : kDistBase[c + 1] - 1;
+            for (int d = kDistBase[c] - 1; d < last; ++d)
+                distCode[static_cast<std::size_t>(
+                    d < 256 ? d : 256 + (d >> 7))] =
+                    static_cast<std::uint8_t>(c);
+        }
+        for (int s = 0; s < 288; ++s) {
+            const auto [code, bits] = fixedLitCode(s);
+            fixedLit[static_cast<std::size_t>(s)] =
+                static_cast<std::uint16_t>(reverseBits(code, bits));
+            fixedLitLen[static_cast<std::size_t>(s)] =
+                static_cast<std::uint8_t>(bits);
+        }
+        for (int s = 0; s < kDistSymbols; ++s)
+            fixedDist[static_cast<std::size_t>(s)] =
+                static_cast<std::uint8_t>(reverseBits(
+                    static_cast<std::uint32_t>(s), 5));
+    }
+
+    int
+    dist(int d) const
+    {
+        assert(d >= 1 && d <= static_cast<int>(kWindowSize));
+        const auto i = static_cast<unsigned>(d - 1);
+        return distCode[i < 256 ? i : 256 + (i >> 7)];
+    }
+};
+
+const CodeTables &
+codeTables()
+{
+    static const CodeTables tables;
+    return tables;
+}
+
+/**
+ * LSB-first bit writer per the DEFLATE bit packing rules, into a
+ * buffer the caller sized for the worst case; flushes 32 bits at a
+ * time.
+ */
 class BitWriter
 {
   public:
-    /** Append @p nbits of @p value, LSB first. */
-    void
-    writeBits(std::uint32_t value, int nbits)
-    {
-        acc_ |= static_cast<std::uint64_t>(
-                    value & ((nbits < 32 ? (1u << nbits) : 0u) - 1u))
-                << filled_;
-        filled_ += nbits;
-        while (filled_ >= 8) {
-            out_.push_back(static_cast<std::uint8_t>(acc_));
-            acc_ >>= 8;
-            filled_ -= 8;
-        }
-    }
+    explicit BitWriter(std::uint8_t *buf) : begin_(buf), p_(buf) {}
 
-    /** Append a Huffman code: code bits are emitted MSB-first. */
+    /** Append @p nbits (at most 32) of @p value, LSB first; @p value
+     *  has no bits set above them. */
     void
-    writeCode(std::uint32_t code, int nbits)
+    putBits(std::uint32_t value, int nbits)
     {
-        std::uint32_t rev = 0;
-        for (int i = 0; i < nbits; ++i)
-            rev |= ((code >> i) & 1u) << (nbits - 1 - i);
-        writeBits(rev, nbits);
+        assert(nbits <= 32 && (nbits == 32 || (value >> nbits) == 0));
+        acc_ |= static_cast<std::uint64_t>(value) << filled_;
+        filled_ += nbits;
+        if (filled_ >= 32) {
+            p_[0] = static_cast<std::uint8_t>(acc_);
+            p_[1] = static_cast<std::uint8_t>(acc_ >> 8);
+            p_[2] = static_cast<std::uint8_t>(acc_ >> 16);
+            p_[3] = static_cast<std::uint8_t>(acc_ >> 24);
+            p_ += 4;
+            acc_ >>= 32;
+            filled_ -= 32;
+        }
     }
 
     /** Pad to a byte boundary with zero bits. */
     void
     align()
     {
-        if (filled_ > 0) {
-            out_.push_back(static_cast<std::uint8_t>(acc_));
-            acc_ = 0;
-            filled_ = 0;
+        for (; filled_ > 0; filled_ -= 8) {
+            *p_++ = static_cast<std::uint8_t>(acc_);
+            acc_ >>= 8;
         }
+        filled_ = 0;
     }
 
+    /** Append raw bytes. @pre byte-aligned. */
     void
-    writeByte(std::uint8_t b)
+    putBytes(const std::uint8_t *src, std::size_t n)
     {
         assert(filled_ == 0);
-        out_.push_back(b);
+        if (n != 0)
+            std::memcpy(p_, src, n);
+        p_ += n;
     }
 
     /** Total bits emitted so far (for block-type cost comparison). */
     std::size_t
     bitCount() const
     {
-        return out_.size() * 8 + static_cast<std::size_t>(filled_);
+        return static_cast<std::size_t>(p_ - begin_) * 8 +
+               static_cast<std::size_t>(filled_);
     }
 
-    std::vector<std::uint8_t>
-    take()
+    /** Align and return the bytes written. */
+    std::size_t
+    finish()
     {
         align();
-        return std::move(out_);
+        return static_cast<std::size_t>(p_ - begin_);
     }
 
   private:
-    std::vector<std::uint8_t> out_;
+    std::uint8_t *begin_;
+    std::uint8_t *p_;
     std::uint64_t acc_ = 0;
     int filled_ = 0;
 };
@@ -174,141 +250,527 @@ class BitReader
     int filled_ = 0;
 };
 
-/** Fixed literal/length code for symbol 0..287: (code, bits). */
-std::pair<std::uint32_t, int>
-fixedLitCode(int sym)
-{
-    if (sym <= 143)
-        return {0x30 + sym, 8};               // 00110000 ..
-    if (sym <= 255)
-        return {0x190 + (sym - 144), 9};      // 110010000 ..
-    if (sym <= 279)
-        return {sym - 256, 7};                // 0000000 ..
-    return {0xc0 + (sym - 280), 8};           // 11000000 ..
-}
-
 // --- Canonical Huffman machinery (dynamic blocks) ---------------------
+
+/**
+ * Cap the Huffman code lengths @p lengths at @p max_len while keeping
+ * the code complete (Kraft sum exactly 1), as miniz's
+ * tdefl_huffman_enforce_max_code_size does: clamp the length counts,
+ * then repeatedly split the deepest code shorter than @p max_len,
+ * which takes one code at @p max_len off the excess per round. The
+ * lengths go back to the symbols by frequency, longest to the rarest.
+ */
+void
+limitCodeLengths(std::span<const std::uint32_t> freq,
+                 std::span<std::uint8_t> lengths, int max_len)
+{
+    std::array<std::uint32_t, kMaxCodeBits + 1> count{};
+    std::array<std::uint16_t, kLitLenSymbols> order{};
+    std::size_t used = 0;
+    for (std::size_t s = 0; s < lengths.size(); ++s) {
+        if (lengths[s] == 0)
+            continue;
+        ++count[std::min<std::size_t>(lengths[s],
+                                      static_cast<std::size_t>(max_len))];
+        order[used++] = static_cast<std::uint16_t>(s);
+    }
+    std::uint32_t kraft = 0;
+    for (int l = 1; l <= max_len; ++l)
+        kraft += count[static_cast<std::size_t>(l)] << (max_len - l);
+    const std::uint32_t full = std::uint32_t{1} << max_len;
+    for (; kraft > full; --kraft) {
+        --count[static_cast<std::size_t>(max_len)];
+        for (int l = max_len - 1; l > 0; --l) {
+            if (count[static_cast<std::size_t>(l)] != 0) {
+                --count[static_cast<std::size_t>(l)];
+                count[static_cast<std::size_t>(l) + 1] += 2;
+                break;
+            }
+        }
+    }
+    std::sort(order.begin(), order.begin() + static_cast<long>(used),
+              [&](std::uint16_t a, std::uint16_t b) {
+                  return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
+              });
+    std::size_t next = 0;
+    for (int l = max_len; l > 0; --l)
+        for (std::uint32_t k = 0; k < count[static_cast<std::size_t>(l)];
+             ++k)
+            lengths[order[next++]] = static_cast<std::uint8_t>(l);
+}
 
 /**
  * Length-limited Huffman code lengths for the given frequencies.
  * Unused symbols get length 0; a single used symbol gets length 1.
- * Overlong codes are clamped to @p max_len and the Kraft sum repaired
- * by deepening the shallowest remaining codes (both sides only need
- * matching lengths, which are transmitted).
+ * Any code of two or more symbols is complete.
  */
-std::vector<std::uint8_t>
-buildCodeLengths(const std::vector<std::uint64_t> &freq, int max_len)
+void
+buildCodeLengths(std::span<const std::uint32_t> freq, int max_len,
+                 std::span<std::uint8_t> lengths)
 {
-    const std::size_t n = freq.size();
-    std::vector<std::uint8_t> lengths(n, 0);
+    assert(freq.size() == lengths.size() &&
+           freq.size() <= static_cast<std::size_t>(kLitLenSymbols));
+    std::fill(lengths.begin(), lengths.end(), std::uint8_t{0});
 
+    // Nodes 0..used-1 are leaves in symbol order; merged nodes follow.
+    // The heap orders by (weight, node id), a strict total order, so
+    // ties break identically on every platform.
+    constexpr std::size_t kMaxNodes = 2 * kLitLenSymbols;
+    std::array<std::uint64_t, kMaxNodes> weight{};
+    std::array<std::uint16_t, kMaxNodes> parent{};
+    std::array<std::uint16_t, kLitLenSymbols> symbol{};
+    std::array<std::uint16_t, kLitLenSymbols> heap{};
     std::size_t used = 0;
-    std::size_t last_used = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (freq[i] > 0) {
+    for (std::size_t s = 0; s < freq.size(); ++s) {
+        if (freq[s] > 0) {
+            weight[used] = freq[s];
+            symbol[used] = static_cast<std::uint16_t>(s);
+            heap[used] = static_cast<std::uint16_t>(used);
             ++used;
-            last_used = i;
         }
     }
     if (used == 0)
-        return lengths;
+        return;
     if (used == 1) {
-        lengths[last_used] = 1;
-        return lengths;
+        lengths[symbol[0]] = 1;
+        return;
     }
 
-    // Standard Huffman tree via a min-heap of (weight, node id).
-    struct Node
-    {
-        std::uint64_t weight;
-        int left = -1, right = -1;
-        int symbol = -1;
+    auto heavier = [&](std::uint16_t a, std::uint16_t b) {
+        return weight[a] != weight[b] ? weight[a] > weight[b] : a > b;
     };
-    std::vector<Node> nodes;
-    using Entry = std::pair<std::uint64_t, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (freq[i] > 0) {
-            nodes.push_back({freq[i], -1, -1, static_cast<int>(i)});
-            heap.emplace(freq[i], static_cast<int>(nodes.size()) - 1);
-        }
-    }
-    while (heap.size() > 1) {
-        const auto [wa, a] = heap.top();
-        heap.pop();
-        const auto [wb, b] = heap.top();
-        heap.pop();
-        nodes.push_back({wa + wb, a, b, -1});
-        heap.emplace(wa + wb, static_cast<int>(nodes.size()) - 1);
+    auto *const hbeg = heap.data();
+    std::size_t hsize = used;
+    std::make_heap(hbeg, hbeg + hsize, heavier);
+    std::size_t nodes = used;
+    while (hsize > 1) {
+        std::pop_heap(hbeg, hbeg + hsize--, heavier);
+        const std::uint16_t a = heap[hsize];
+        std::pop_heap(hbeg, hbeg + hsize--, heavier);
+        const std::uint16_t b = heap[hsize];
+        weight[nodes] = weight[a] + weight[b];
+        parent[a] = parent[b] = static_cast<std::uint16_t>(nodes);
+        heap[hsize++] = static_cast<std::uint16_t>(nodes);
+        std::push_heap(hbeg, hbeg + hsize, heavier);
+        ++nodes;
     }
 
-    // Depth-first traversal for leaf depths (iterative).
-    std::vector<std::pair<int, int>> stack{{heap.top().second, 0}};
-    while (!stack.empty()) {
-        const auto [id, depth] = stack.back();
-        stack.pop_back();
-        const Node &node = nodes[static_cast<std::size_t>(id)];
-        if (node.symbol >= 0) {
-            lengths[static_cast<std::size_t>(node.symbol)] =
-                static_cast<std::uint8_t>(std::min(depth, max_len));
+    // A parent always has a higher id than its children, so one
+    // downward pass from the root assigns every depth.
+    std::array<std::uint16_t, kMaxNodes> depth{};
+    int deepest = 0;
+    for (std::size_t id = nodes - 1; id-- > 0;) {
+        depth[id] = static_cast<std::uint16_t>(depth[parent[id]] + 1);
+        if (id < used)
+            deepest = std::max<int>(deepest, depth[id]);
+    }
+    for (std::size_t i = 0; i < used; ++i)
+        lengths[symbol[i]] = static_cast<std::uint8_t>(
+            std::min<int>(depth[i], kMaxCodeBits + 1));
+    if (deepest > max_len)
+        limitCodeLengths(freq, lengths, max_len);
+}
+
+/** A code set for the writer: lengths and bit-reversed canonical codes. */
+template <std::size_t N>
+struct WriterCode
+{
+    std::array<std::uint8_t, N> len{};
+    std::array<std::uint16_t, N> rev{};
+
+    /** Canonical code values for len (RFC 1951 §3.2.2). */
+    void
+    assignCanonical()
+    {
+        std::array<std::uint32_t, kMaxCodeBits + 1> bl_count{};
+        for (std::uint8_t l : len)
+            if (l > 0)
+                ++bl_count[l];
+        std::array<std::uint32_t, kMaxCodeBits + 1> next_code{};
+        std::uint32_t code = 0;
+        for (int l = 1; l <= kMaxCodeBits; ++l) {
+            code = (code + bl_count[static_cast<std::size_t>(l) - 1]) << 1;
+            next_code[static_cast<std::size_t>(l)] = code;
+        }
+        for (std::size_t i = 0; i < N; ++i)
+            if (len[i] > 0)
+                rev[i] = static_cast<std::uint16_t>(
+                    reverseBits(next_code[len[i]]++, len[i]));
+    }
+};
+
+/** One code-length-alphabet symbol and its repeat payload. */
+struct ClSymbol
+{
+    std::uint8_t sym;
+    std::uint8_t extra;
+};
+
+/**
+ * RLE-encode the concatenated literal+distance length arrays with the
+ * 0-18 code-length alphabet (16 = repeat previous 3-6, 17 = zero run
+ * 3-10, 18 = zero run 11-138) into @p out; returns the symbol count
+ * (at most one per length).
+ */
+std::size_t
+rleCodeLengths(std::span<const std::uint8_t> lengths, ClSymbol *out)
+{
+    std::size_t k = 0;
+    auto emit = [&](int sym, std::size_t extra) {
+        out[k++] = {static_cast<std::uint8_t>(sym),
+                    static_cast<std::uint8_t>(extra)};
+    };
+    std::size_t i = 0;
+    while (i < lengths.size()) {
+        const std::uint8_t v = lengths[i];
+        std::size_t run = 1;
+        while (i + run < lengths.size() && lengths[i + run] == v)
+            ++run;
+        if (v == 0) {
+            std::size_t left = run;
+            while (left >= 11) {
+                const std::size_t take = std::min<std::size_t>(left, 138);
+                emit(18, take - 11);
+                left -= take;
+            }
+            while (left >= 3) {
+                const std::size_t take = std::min<std::size_t>(left, 10);
+                emit(17, take - 3);
+                left -= take;
+            }
+            while (left-- > 0)
+                emit(0, 0);
+        } else {
+            emit(v, 0);
+            std::size_t left = run - 1;
+            while (left >= 3) {
+                const std::size_t take = std::min<std::size_t>(left, 6);
+                emit(16, take - 3);
+                left -= take;
+            }
+            while (left-- > 0)
+                emit(v, 0);
+        }
+        i += run;
+    }
+    return k;
+}
+
+using Token = Deflater::Token;
+
+/** Render one complete fixed-Huffman block (BFINAL set). */
+void
+emitFixedBlock(BitWriter &bw, std::span<const Token> tokens)
+{
+    const CodeTables &ct = codeTables();
+    bw.putBits(1, 1);   // BFINAL
+    bw.putBits(1, 2);   // BTYPE = 01 fixed
+    for (const Token &t : tokens) {
+        const std::size_t c = t.lit_or_len;
+        if (t.dist == 0) {
+            bw.putBits(ct.fixedLit[c], ct.fixedLitLen[c]);
             continue;
         }
-        stack.emplace_back(node.left, depth + 1);
-        stack.emplace_back(node.right, depth + 1);
+        const int lc = ct.lengthCode[c];
+        const std::size_t lsym = static_cast<std::size_t>(257 + lc);
+        const int dc = ct.dist(t.dist);
+        // Length code + extra + 5-bit distance code + extra: at most
+        // 8 + 5 + 5 + 13 = 31 bits, one write.
+        int bits = ct.fixedLitLen[lsym];
+        std::uint32_t v = ct.fixedLit[lsym];
+        v |= static_cast<std::uint32_t>(t.lit_or_len - kLengthBase[lc])
+             << bits;
+        bits += kLengthExtra[lc];
+        v |= static_cast<std::uint32_t>(ct.fixedDist[static_cast<std::size_t>(
+                 dc)])
+             << bits;
+        bits += 5;
+        v |= static_cast<std::uint32_t>(t.dist - kDistBase[dc]) << bits;
+        bits += kDistExtra[dc];
+        bw.putBits(v, bits);
+    }
+    bw.putBits(ct.fixedLit[256], ct.fixedLitLen[256]);   // end of block
+}
+
+/** Render one complete dynamic-Huffman block (BFINAL set). */
+void
+emitDynamicBlock(BitWriter &bw, std::span<const Token> tokens)
+{
+    const CodeTables &ct = codeTables();
+
+    // Symbol frequencies.
+    std::array<std::uint32_t, kLitLenSymbols> lit_freq{};
+    std::array<std::uint32_t, kDistSymbols> dist_freq{};
+    for (const Token &t : tokens) {
+        if (t.dist == 0) {
+            ++lit_freq[t.lit_or_len];
+        } else {
+            ++lit_freq[static_cast<std::size_t>(
+                257 + ct.lengthCode[t.lit_or_len])];
+            ++dist_freq[static_cast<std::size_t>(ct.dist(t.dist))];
+        }
+    }
+    ++lit_freq[256];   // end-of-block always occurs
+
+    WriterCode<kLitLenSymbols> lit;
+    WriterCode<kDistSymbols> dist;
+    buildCodeLengths(lit_freq, kMaxCodeBits, lit.len);
+    buildCodeLengths(dist_freq, kMaxCodeBits, dist.len);
+    // The distance code set may be empty (all-literal data); the spec
+    // still transmits at least one distance code length.
+    if (std::all_of(dist.len.begin(), dist.len.end(),
+                    [](std::uint8_t l) { return l == 0; }))
+        dist.len[0] = 1;
+    lit.assignCanonical();
+    dist.assignCanonical();
+
+    // Trim trailing unused symbols: HLIT >= 257, HDIST >= 1.
+    std::size_t hlit = kLitLenSymbols;
+    while (hlit > 257 && lit.len[hlit - 1] == 0)
+        --hlit;
+    std::size_t hdist = kDistSymbols;
+    while (hdist > 1 && dist.len[hdist - 1] == 0)
+        --hdist;
+
+    std::array<std::uint8_t, kLitLenSymbols + kDistSymbols> all{};
+    std::copy_n(lit.len.begin(), hlit, all.begin());
+    std::copy_n(dist.len.begin(), hdist, all.begin() + hlit);
+    std::array<ClSymbol, kLitLenSymbols + kDistSymbols> rle{};
+    const std::size_t nrle = rleCodeLengths(
+        std::span<const std::uint8_t>(all.data(), hlit + hdist), rle.data());
+
+    std::array<std::uint32_t, kClSymbols> cl_freq{};
+    for (std::size_t i = 0; i < nrle; ++i)
+        ++cl_freq[rle[i].sym];
+    WriterCode<kClSymbols> cl;
+    buildCodeLengths(cl_freq, 7, cl.len);
+    // At least 257 lengths always take two distinct symbols, so the
+    // code-length code never degenerates to an (incomplete) single code.
+    assert(std::count(cl.len.begin(), cl.len.end(), 0) <= kClSymbols - 2);
+    cl.assignCanonical();
+
+    std::size_t hclen = kClSymbols;
+    while (hclen > 4 && cl.len[kClPermutation[hclen - 1]] == 0)
+        --hclen;
+
+    bw.putBits(1, 1);   // BFINAL
+    bw.putBits(2, 2);   // BTYPE = 10 dynamic
+    bw.putBits(static_cast<std::uint32_t>(hlit - 257), 5);
+    bw.putBits(static_cast<std::uint32_t>(hdist - 1), 5);
+    bw.putBits(static_cast<std::uint32_t>(hclen - 4), 4);
+    for (std::size_t i = 0; i < hclen; ++i)
+        bw.putBits(cl.len[kClPermutation[i]], 3);
+    constexpr int kRepeatBits[3] = {2, 3, 7};   // symbols 16, 17, 18
+    for (std::size_t i = 0; i < nrle; ++i) {
+        const ClSymbol c = rle[i];
+        bw.putBits(cl.rev[c.sym], cl.len[c.sym]);
+        if (c.sym >= 16)
+            bw.putBits(c.extra, kRepeatBits[c.sym - 16]);
     }
 
-    // Repair the Kraft inequality after clamping: deepen the
-    // shallowest codes (cheapest in expected bits) until the code is
-    // feasible again.
-    auto kraft = [&] {
-        std::uint64_t k = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (lengths[i] > 0)
-                k += std::uint64_t{1}
-                     << static_cast<unsigned>(max_len - lengths[i]);
-        return k;
+    for (const Token &t : tokens) {
+        if (t.dist == 0) {
+            bw.putBits(lit.rev[t.lit_or_len], lit.len[t.lit_or_len]);
+            continue;
+        }
+        // Each code with its extra bits: at most 15 + 13 bits a write.
+        const int lc = ct.lengthCode[t.lit_or_len];
+        const std::size_t lsym = static_cast<std::size_t>(257 + lc);
+        const auto lextra =
+            static_cast<std::uint32_t>(t.lit_or_len - kLengthBase[lc]);
+        bw.putBits(lit.rev[lsym] | lextra << lit.len[lsym],
+                   lit.len[lsym] + kLengthExtra[lc]);
+        const auto dc = static_cast<std::size_t>(ct.dist(t.dist));
+        const auto dextra =
+            static_cast<std::uint32_t>(t.dist - kDistBase[dc]);
+        bw.putBits(dist.rev[dc] | dextra << dist.len[dc],
+                   dist.len[dc] + kDistExtra[dc]);
+    }
+    bw.putBits(lit.rev[256], lit.len[256]);   // end of block
+}
+
+/** Length of the common prefix of @p a and @p b, at most @p cap. */
+int
+matchLength(const std::uint8_t *a, const std::uint8_t *b, int cap)
+{
+    int len = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; len + 8 <= cap; len += 8) {
+            std::uint64_t x = 0, y = 0;
+            std::memcpy(&x, a + len, 8);
+            std::memcpy(&y, b + len, 8);
+            if (const std::uint64_t diff = x ^ y)
+                return len + std::countr_zero(diff) / 8;
+        }
+    }
+    while (len < cap && a[len] == b[len])
+        ++len;
+    return len;
+}
+
+} // namespace
+
+Deflater::Deflater() : head_(kHashSize, 0) {}
+
+// halint: hotpath
+std::span<const std::uint8_t>
+Deflater::compress(std::span<const std::uint8_t> input,
+                   const DeflateConfig &cfg)
+{
+    const std::uint8_t *in = input.data();
+    const std::size_t n = input.size();
+    if (base_ > std::numeric_limits<std::uint32_t>::max() - n) {
+        std::fill(head_.begin(), head_.end(), 0u);
+        base_ = 1;
+    }
+
+    // Worst cases: a coded byte costs at most 16 bits (a 3-byte match
+    // at 15 + 5 + 15 + 13 bits), a dynamic header under 600 bytes, a
+    // stored block 5 bytes per 64 KiB.
+    const std::size_t bound = 2 * n + 5 * (n / 65535) + 1024;
+    if (prev_.size() < n) {
+        // halint: allow(HAL-W004) grows once to the largest input
+        prev_.resize(n);
+        // halint: allow(HAL-W004) grows once to the largest input
+        tokens_.resize(n);
+    }
+    if (out_.size() < bound) {
+        // halint: allow(HAL-W004) grows once to the largest input
+        out_.resize(bound);
+        // halint: allow(HAL-W004) grows once to the largest input
+        alt_.resize(bound);
+    }
+
+    // Hash chains over 3-byte prefixes. A head or link below base_
+    // belongs to an earlier input and reads as "no candidate".
+    const std::uint32_t base = base_;
+    auto hash3 = [&](std::size_t i) {
+        const std::uint32_t h = (std::uint32_t{in[i]} << 16) ^
+                                (std::uint32_t{in[i + 1]} << 8) ^
+                                in[i + 2];
+        return (h * 2654435761u) >> (32 - kHashBits);
     };
-    const std::uint64_t cap = std::uint64_t{1}
-                              << static_cast<unsigned>(max_len);
-    while (kraft() > cap) {
-        std::size_t best = n;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (lengths[i] > 0 && lengths[i] < max_len &&
-                (best == n || lengths[i] < lengths[best])) {
-                best = i;
+
+    // Longest match among the chain's first max_chain candidates
+    // (nearest first; the first of equal lengths wins). A candidate
+    // that differs at best_len cannot beat it, so it is skipped
+    // without a full compare, as zlib's scan_end test does.
+    auto findMatch = [&](std::size_t pos, int &best_dist) {
+        int best_len = 0;
+        best_dist = 0;
+        if (pos + kMinMatch > n)
+            return 0;
+        const int cap =
+            static_cast<int>(std::min<std::size_t>(kMaxMatch, n - pos));
+        std::uint32_t cand = head_[hash3(pos)];
+        unsigned chain = cfg.max_chain;
+        while (cand >= base && chain-- > 0) {
+            const std::size_t cpos = cand - base;
+            if (pos - cpos > kWindowSize)
+                break;
+            const auto at = static_cast<std::size_t>(best_len);
+            if (in[cpos + at] == in[pos + at]) {
+                const int len = matchLength(in + cpos, in + pos, cap);
+                if (len > best_len) {
+                    best_len = len;
+                    best_dist = static_cast<int>(pos - cpos);
+                    if (len >= cap)   // nothing later can be longer
+                        break;
+                }
+            }
+            cand = prev_[cpos];
+        }
+        return best_len >= kMinMatch ? best_len : 0;
+    };
+
+    // Positions [0, inserted) are registered in the hash chains. A
+    // position is only registered once we have moved past it, so a
+    // position can never match against itself (distance 0).
+    std::size_t inserted = 0;
+    auto insertThrough = [&](std::size_t end) {
+        for (; inserted < end && inserted < n; ++inserted) {
+            if (inserted + kMinMatch <= n) {
+                std::uint32_t &head = head_[hash3(inserted)];
+                prev_[inserted] = head;
+                head = base + static_cast<std::uint32_t>(inserted);
             }
         }
-        assert(best < n && "cannot repair Huffman lengths");
-        ++lengths[best];
+    };
+
+    std::size_t ntok = 0;
+    std::size_t pos = 0;
+    while (pos < n) {
+        insertThrough(pos);
+        int dist = 0;
+        int len = findMatch(pos, dist);
+        if (len > 0 && cfg.lazy_match && pos + 1 < n) {
+            // One-step lazy evaluation, as zlib does: if the next
+            // position has a strictly longer match, emit a literal
+            // and take that one instead.
+            insertThrough(pos + 1);
+            int dist2 = 0;
+            const int len2 = findMatch(pos + 1, dist2);
+            if (len2 > len) {
+                tokens_[ntok++] = {in[pos], 0};
+                ++pos;
+                len = len2;
+                dist = dist2;
+            }
+        }
+
+        if (len > 0) {
+            tokens_[ntok++] = {static_cast<std::uint16_t>(len),
+                               static_cast<std::uint16_t>(dist)};
+            insertThrough(pos + static_cast<std::size_t>(len));
+            pos += static_cast<std::size_t>(len);
+        } else {
+            tokens_[ntok++] = {in[pos], 0};
+            ++pos;
+        }
     }
-    return lengths;
+    base_ = base + static_cast<std::uint32_t>(n);
+    const std::span<const Token> tokens(tokens_.data(), ntok);
+
+    // Render the cheaper of the fixed and dynamic encodings.
+    BitWriter fixed(out_.data());
+    emitFixedBlock(fixed, tokens);
+    BitWriter dyn(alt_.data());
+    if (cfg.allow_dynamic)
+        emitDynamicBlock(dyn, tokens);
+    const bool use_dyn =
+        cfg.allow_dynamic && dyn.bitCount() < fixed.bitCount();
+    const std::uint8_t *data = use_dyn ? alt_.data() : out_.data();
+    std::size_t size = use_dyn ? dyn.finish() : fixed.finish();
+
+    if (cfg.allow_stored && size > n + 5 * (n / 65535 + 1)) {
+        // Compression expanded the data; fall back to stored blocks.
+        BitWriter sw(out_.data());
+        std::size_t off = 0;
+        do {
+            const std::size_t chunk = std::min<std::size_t>(n - off, 65535);
+            sw.putBits(off + chunk == n ? 1 : 0, 1);   // BFINAL
+            sw.putBits(0, 2);                          // BTYPE = 00 stored
+            sw.align();
+            const auto len = static_cast<std::uint32_t>(chunk);
+            sw.putBits(len | (~len & 0xffffu) << 16, 32);   // LEN, NLEN
+            sw.putBytes(in + off, chunk);
+            off += chunk;
+        } while (off < n);
+        size = sw.finish();
+        data = out_.data();
+    }
+    return {data, size};
 }
 
-/** Canonical code values for a set of lengths (RFC 1951 §3.2.2). */
-std::vector<std::uint32_t>
-canonicalCodes(const std::vector<std::uint8_t> &lengths)
+std::vector<std::uint8_t>
+deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
 {
-    int max_len = 0;
-    for (std::uint8_t l : lengths)
-        max_len = std::max<int>(max_len, l);
-    std::vector<std::uint32_t> bl_count(
-        static_cast<std::size_t>(max_len) + 1, 0);
-    for (std::uint8_t l : lengths)
-        if (l > 0)
-            ++bl_count[l];
-    std::vector<std::uint32_t> next_code(
-        static_cast<std::size_t>(max_len) + 1, 0);
-    std::uint32_t code = 0;
-    for (int len = 1; len <= max_len; ++len) {
-        code = (code + bl_count[static_cast<std::size_t>(len) - 1]) << 1;
-        next_code[static_cast<std::size_t>(len)] = code;
-    }
-    std::vector<std::uint32_t> codes(lengths.size(), 0);
-    for (std::size_t i = 0; i < lengths.size(); ++i)
-        if (lengths[i] > 0)
-            codes[i] = next_code[lengths[i]]++;
-    return codes;
+    Deflater deflater;
+    const std::span<const std::uint8_t> out = deflater.compress(input, cfg);
+    return {out.begin(), out.end()};
 }
+
+namespace {
 
 /**
  * Canonical Huffman decoder: per-length first-code tables plus the
@@ -317,9 +779,14 @@ canonicalCodes(const std::vector<std::uint8_t> &lengths)
 class CanonicalDecoder
 {
   public:
-    explicit CanonicalDecoder(const std::vector<std::uint8_t> &lengths)
+    /**
+     * @param checked reject over-subscribed and incomplete sets, as
+     *        zlib's inflate_table does; @p lone_ok allows the one
+     *        incomplete exception, a single length-1 code
+     */
+    CanonicalDecoder(std::span<const std::uint8_t> lengths, bool checked,
+                     bool lone_ok)
     {
-        maxLen_ = 0;
         for (std::uint8_t l : lengths)
             maxLen_ = std::max<int>(maxLen_, l);
         if (maxLen_ == 0)
@@ -328,6 +795,20 @@ class CanonicalDecoder
         for (std::uint8_t l : lengths)
             if (l > 0)
                 ++count_[l];
+        if (checked) {
+            std::int64_t left = 1;
+            for (int len = 1; len <= maxLen_; ++len) {
+                left = 2 * left -
+                       static_cast<std::int64_t>(
+                           count_[static_cast<std::size_t>(len)]);
+                if (left < 0)
+                    throw std::runtime_error(
+                        "deflate: over-subscribed code lengths");
+            }
+            if (left > 0 && !(lone_ok && maxLen_ == 1))
+                throw std::runtime_error(
+                    "deflate: incomplete code lengths");
+        }
         firstCode_.assign(static_cast<std::size_t>(maxLen_) + 1, 0);
         firstIndex_.assign(static_cast<std::size_t>(maxLen_) + 1, 0);
         std::uint32_t code = 0, index = 0;
@@ -373,344 +854,6 @@ class CanonicalDecoder
     std::vector<std::uint16_t> symbols_;
 };
 
-// --- LZ77 token stream -------------------------------------------------
-
-/** One LZ77 token: a literal (dist == 0) or a (length, dist) match. */
-struct Token
-{
-    std::uint16_t lit_or_len;
-    std::uint16_t dist;
-};
-
-/** Emit the token stream with the given (possibly fixed) code sets. */
-void
-emitTokens(BitWriter &bw, const std::vector<Token> &tokens,
-           const std::vector<std::uint8_t> &lit_len,
-           const std::vector<std::uint32_t> &lit_code,
-           const std::vector<std::uint8_t> &dist_len,
-           const std::vector<std::uint32_t> &dist_code)
-{
-    for (const Token &t : tokens) {
-        if (t.dist == 0) {
-            bw.writeCode(lit_code[t.lit_or_len], lit_len[t.lit_or_len]);
-            continue;
-        }
-        const int lc = lengthCode(t.lit_or_len);
-        const std::size_t lsym = static_cast<std::size_t>(257 + lc);
-        bw.writeCode(lit_code[lsym], lit_len[lsym]);
-        if (kLengthExtra[lc])
-            bw.writeBits(
-                static_cast<std::uint32_t>(t.lit_or_len - kLengthBase[lc]),
-                kLengthExtra[lc]);
-        const auto dc = static_cast<std::size_t>(distCode(t.dist));
-        bw.writeCode(dist_code[dc], dist_len[dc]);
-        if (kDistExtra[dc])
-            bw.writeBits(
-                static_cast<std::uint32_t>(t.dist - kDistBase[dc]),
-                kDistExtra[dc]);
-    }
-    // End of block.
-    bw.writeCode(lit_code[256], lit_len[256]);
-}
-
-/** Fixed-Huffman code tables as length/code vectors. */
-void
-fixedTables(std::vector<std::uint8_t> &lit_len,
-            std::vector<std::uint32_t> &lit_code,
-            std::vector<std::uint8_t> &dist_len,
-            std::vector<std::uint32_t> &dist_code)
-{
-    lit_len.resize(288);
-    lit_code.resize(288);
-    for (int s = 0; s < 288; ++s) {
-        const auto [code, bits] = fixedLitCode(s);
-        lit_code[static_cast<std::size_t>(s)] = code;
-        lit_len[static_cast<std::size_t>(s)] =
-            static_cast<std::uint8_t>(bits);
-    }
-    dist_len.assign(30, 5);
-    dist_code.resize(30);
-    for (std::uint32_t s = 0; s < 30; ++s)
-        dist_code[s] = s;
-}
-
-/**
- * RLE-encode the concatenated literal+distance length arrays with the
- * 0-18 code-length alphabet (16 = repeat previous 3-6, 17 = zero run
- * 3-10, 18 = zero run 11-138). Returns (symbol, extra) pairs where
- * extra is the repeat count payload (or -1 for plain symbols).
- */
-std::vector<std::pair<int, int>>
-rleCodeLengths(const std::vector<std::uint8_t> &lengths)
-{
-    std::vector<std::pair<int, int>> out;
-    std::size_t i = 0;
-    while (i < lengths.size()) {
-        const std::uint8_t v = lengths[i];
-        std::size_t run = 1;
-        while (i + run < lengths.size() && lengths[i + run] == v)
-            ++run;
-        if (v == 0) {
-            std::size_t left = run;
-            while (left >= 11) {
-                const std::size_t take = std::min<std::size_t>(left, 138);
-                out.emplace_back(18, static_cast<int>(take) - 11);
-                left -= take;
-            }
-            while (left >= 3) {
-                const std::size_t take = std::min<std::size_t>(left, 10);
-                out.emplace_back(17, static_cast<int>(take) - 3);
-                left -= take;
-            }
-            while (left-- > 0)
-                out.emplace_back(0, -1);
-        } else {
-            out.emplace_back(v, -1);
-            std::size_t left = run - 1;
-            while (left >= 3) {
-                const std::size_t take = std::min<std::size_t>(left, 6);
-                out.emplace_back(16, static_cast<int>(take) - 3);
-                left -= take;
-            }
-            while (left-- > 0)
-                out.emplace_back(v, -1);
-        }
-        i += run;
-    }
-    return out;
-}
-
-/** Render one complete dynamic-Huffman block (BFINAL set). */
-void
-emitDynamicBlock(BitWriter &bw, const std::vector<Token> &tokens)
-{
-    // Symbol frequencies.
-    std::vector<std::uint64_t> lit_freq(kLitLenSymbols, 0);
-    std::vector<std::uint64_t> dist_freq(kDistSymbols, 0);
-    for (const Token &t : tokens) {
-        if (t.dist == 0) {
-            ++lit_freq[t.lit_or_len];
-        } else {
-            ++lit_freq[static_cast<std::size_t>(
-                257 + lengthCode(t.lit_or_len))];
-            ++dist_freq[static_cast<std::size_t>(distCode(t.dist))];
-        }
-    }
-    ++lit_freq[256];   // end-of-block always occurs
-
-    std::vector<std::uint8_t> lit_len = buildCodeLengths(lit_freq, 15);
-    std::vector<std::uint8_t> dist_len = buildCodeLengths(dist_freq, 15);
-    // The distance code set may be empty (all-literal data); the spec
-    // still transmits at least one distance code length.
-    bool any_dist = false;
-    for (std::uint8_t l : dist_len)
-        any_dist |= l > 0;
-    if (!any_dist)
-        dist_len[0] = 1;
-
-    const auto lit_code = canonicalCodes(lit_len);
-    const auto dist_code = canonicalCodes(dist_len);
-
-    // Trim trailing unused symbols: HLIT >= 257, HDIST >= 1.
-    std::size_t hlit = kLitLenSymbols;
-    while (hlit > 257 && lit_len[hlit - 1] == 0)
-        --hlit;
-    std::size_t hdist = kDistSymbols;
-    while (hdist > 1 && dist_len[hdist - 1] == 0)
-        --hdist;
-
-    std::vector<std::uint8_t> all(lit_len.begin(),
-                                  lit_len.begin() +
-                                      static_cast<long>(hlit));
-    all.insert(all.end(), dist_len.begin(),
-               dist_len.begin() + static_cast<long>(hdist));
-    const auto rle = rleCodeLengths(all);
-
-    std::vector<std::uint64_t> cl_freq(19, 0);
-    for (const auto &[sym, extra] : rle)
-        ++cl_freq[static_cast<std::size_t>(sym)];
-    std::vector<std::uint8_t> cl_len = buildCodeLengths(cl_freq, 7);
-    const auto cl_code = canonicalCodes(cl_len);
-
-    std::size_t hclen = 19;
-    while (hclen > 4 && cl_len[kClPermutation[hclen - 1]] == 0)
-        --hclen;
-
-    bw.writeBits(1, 1);   // BFINAL
-    bw.writeBits(2, 2);   // BTYPE = 10 dynamic
-    bw.writeBits(static_cast<std::uint32_t>(hlit - 257), 5);
-    bw.writeBits(static_cast<std::uint32_t>(hdist - 1), 5);
-    bw.writeBits(static_cast<std::uint32_t>(hclen - 4), 4);
-    for (std::size_t i = 0; i < hclen; ++i)
-        bw.writeBits(cl_len[kClPermutation[i]], 3);
-    for (const auto &[sym, extra] : rle) {
-        bw.writeCode(cl_code[static_cast<std::size_t>(sym)],
-                     cl_len[static_cast<std::size_t>(sym)]);
-        if (sym == 16)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 2);
-        else if (sym == 17)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 3);
-        else if (sym == 18)
-            bw.writeBits(static_cast<std::uint32_t>(extra), 7);
-    }
-
-    emitTokens(bw, tokens, lit_len, lit_code, dist_len, dist_code);
-}
-
-/** Render one complete fixed-Huffman block (BFINAL set). */
-void
-emitFixedBlock(BitWriter &bw, const std::vector<Token> &tokens)
-{
-    bw.writeBits(1, 1);   // BFINAL
-    bw.writeBits(1, 2);   // BTYPE = 01 fixed
-    std::vector<std::uint8_t> lit_len, dist_len;
-    std::vector<std::uint32_t> lit_code, dist_code;
-    fixedTables(lit_len, lit_code, dist_len, dist_code);
-    emitTokens(bw, tokens, lit_len, lit_code, dist_len, dist_code);
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-deflateCompress(std::span<const std::uint8_t> input, const DeflateConfig &cfg)
-{
-    const std::uint8_t *in = input.data();
-    const std::size_t n = input.size();
-
-    // Hash chains over 3-byte prefixes.
-    constexpr std::size_t kHashBits = 15;
-    constexpr std::size_t kHashSize = 1u << kHashBits;
-    std::vector<std::int32_t> head(kHashSize, -1);
-    std::vector<std::int32_t> prev(std::max<std::size_t>(n, 1), -1);
-
-    auto hash3 = [&](std::size_t i) {
-        const std::uint32_t h = (std::uint32_t{in[i]} << 16) ^
-                                (std::uint32_t{in[i + 1]} << 8) ^
-                                in[i + 2];
-        return (h * 2654435761u) >> (32 - kHashBits);
-    };
-
-    auto matchLen = [&](std::size_t a, std::size_t b) {
-        // Length of common prefix of in[a..] and in[b..], capped.
-        int len = 0;
-        const int cap = static_cast<int>(
-            std::min<std::size_t>(kMaxMatch, n - b));
-        while (len < cap && in[a + len] == in[b + len])
-            ++len;
-        return len;
-    };
-
-    auto findMatch = [&](std::size_t pos, int &best_dist) {
-        int best_len = 0;
-        best_dist = 0;
-        if (pos + kMinMatch > n)
-            return 0;
-        std::int32_t cand = head[hash3(pos)];
-        unsigned chain = cfg.max_chain;
-        while (cand >= 0 && chain-- > 0) {
-            const auto cpos = static_cast<std::size_t>(cand);
-            if (pos - cpos > kWindowSize)
-                break;
-            const int len = matchLen(cpos, pos);
-            if (len > best_len) {
-                best_len = len;
-                best_dist = static_cast<int>(pos - cpos);
-                if (len >= kMaxMatch)
-                    break;
-            }
-            cand = prev[cpos];
-        }
-        return best_len >= kMinMatch ? best_len : 0;
-    };
-
-    auto insert = [&](std::size_t pos) {
-        if (pos + kMinMatch <= n) {
-            const auto h = hash3(pos);
-            prev[pos] = head[h];
-            head[h] = static_cast<std::int32_t>(pos);
-        }
-    };
-
-    // Positions [0, inserted) are registered in the hash chains. A
-    // position is only registered once we have moved past it, so a
-    // position can never match against itself (distance 0).
-    std::size_t inserted = 0;
-    auto insertThrough = [&](std::size_t end) {
-        for (; inserted < end && inserted < n; ++inserted)
-            insert(inserted);
-    };
-
-    std::vector<Token> tokens;
-    tokens.reserve(n / 4 + 16);
-    std::size_t pos = 0;
-    while (pos < n) {
-        insertThrough(pos);
-        int dist = 0;
-        int len = findMatch(pos, dist);
-        if (len > 0 && cfg.lazy_match && pos + 1 < n) {
-            // One-step lazy evaluation, as zlib does: if the next
-            // position has a strictly longer match, emit a literal
-            // and take that one instead.
-            insertThrough(pos + 1);
-            int dist2 = 0;
-            const int len2 = findMatch(pos + 1, dist2);
-            if (len2 > len) {
-                tokens.push_back({in[pos], 0});
-                ++pos;
-                len = len2;
-                dist = dist2;
-            }
-        }
-
-        if (len > 0) {
-            tokens.push_back({static_cast<std::uint16_t>(len),
-                              static_cast<std::uint16_t>(dist)});
-            insertThrough(pos + static_cast<std::size_t>(len));
-            pos += static_cast<std::size_t>(len);
-        } else {
-            tokens.push_back({in[pos], 0});
-            ++pos;
-        }
-    }
-
-    // Render the cheaper of the fixed and dynamic encodings.
-    BitWriter fixed_bw;
-    emitFixedBlock(fixed_bw, tokens);
-    std::vector<std::uint8_t> out;
-    if (cfg.allow_dynamic) {
-        BitWriter dyn_bw;
-        emitDynamicBlock(dyn_bw, tokens);
-        out = dyn_bw.bitCount() < fixed_bw.bitCount() ? dyn_bw.take()
-                                                      : fixed_bw.take();
-    } else {
-        out = fixed_bw.take();
-    }
-
-    if (cfg.allow_stored && out.size() > n + 5 * (n / 65535 + 1)) {
-        // Compression expanded the data; fall back to stored blocks.
-        BitWriter sw;
-        std::size_t off = 0;
-        do {
-            const std::size_t chunk = std::min<std::size_t>(n - off, 65535);
-            const bool final = off + chunk == n;
-            sw.writeBits(final ? 1 : 0, 1);
-            sw.writeBits(0, 2);   // BTYPE = 00 stored
-            sw.align();
-            sw.writeByte(static_cast<std::uint8_t>(chunk));
-            sw.writeByte(static_cast<std::uint8_t>(chunk >> 8));
-            sw.writeByte(static_cast<std::uint8_t>(~chunk));
-            sw.writeByte(static_cast<std::uint8_t>(~(chunk >> 8)));
-            for (std::size_t i = 0; i < chunk; ++i)
-                sw.writeByte(in[off + i]);
-            off += chunk;
-        } while (off < n);
-        out = sw.take();
-    }
-    return out;
-}
-
-namespace {
-
 /** Shared literal/length + distance decode loop for coded blocks. */
 void
 inflateCodedBlock(BitReader &br, const CanonicalDecoder &lit,
@@ -749,6 +892,32 @@ inflateCodedBlock(BitReader &br, const CanonicalDecoder &lit,
     }
 }
 
+/** Fixed-Huffman decoders (RFC 1951 §3.2.6); the distance code has all
+ *  32 five-bit codes, 30 and 31 rejected on use. */
+const CanonicalDecoder &
+fixedLitDecoder()
+{
+    static const CanonicalDecoder dec = [] {
+        std::array<std::uint8_t, 288> len{};
+        for (int s = 0; s < 288; ++s)
+            len[static_cast<std::size_t>(s)] =
+                static_cast<std::uint8_t>(fixedLitCode(s).second);
+        return CanonicalDecoder(len, false, false);
+    }();
+    return dec;
+}
+
+const CanonicalDecoder &
+fixedDistDecoder()
+{
+    static const CanonicalDecoder dec = [] {
+        std::array<std::uint8_t, 32> len{};
+        len.fill(5);
+        return CanonicalDecoder(len, false, false);
+    }();
+    return dec;
+}
+
 } // namespace
 
 std::vector<std::uint8_t>
@@ -771,12 +940,8 @@ deflateDecompress(std::span<const std::uint8_t> input)
             for (std::uint32_t i = 0; i < len; ++i)
                 out.push_back(br.readByte());
         } else if (btype == 1) {
-            std::vector<std::uint8_t> lit_len, dist_len;
-            std::vector<std::uint32_t> lit_code, dist_code;
-            fixedTables(lit_len, lit_code, dist_len, dist_code);
-            const CanonicalDecoder lit(lit_len);
-            const CanonicalDecoder dist(dist_len);
-            inflateCodedBlock(br, lit, dist, out);
+            inflateCodedBlock(br, fixedLitDecoder(), fixedDistDecoder(),
+                              out);
         } else if (btype == 2) {
             const std::size_t hlit = br.readBits(5) + 257;
             const std::size_t hdist = br.readBits(5) + 1;
@@ -787,7 +952,7 @@ deflateDecompress(std::span<const std::uint8_t> input)
             for (std::size_t i = 0; i < hclen; ++i)
                 cl_len[kClPermutation[i]] =
                     static_cast<std::uint8_t>(br.readBits(3));
-            const CanonicalDecoder cl(cl_len);
+            const CanonicalDecoder cl(cl_len, true, false);
 
             std::vector<std::uint8_t> all;
             all.reserve(hlit + hdist);
@@ -812,15 +977,14 @@ deflateDecompress(std::span<const std::uint8_t> input)
             if (all.size() != hlit + hdist)
                 throw std::runtime_error(
                     "deflate: code-length overflow");
-            const std::vector<std::uint8_t> lit_len(
-                all.begin(), all.begin() + static_cast<long>(hlit));
-            const std::vector<std::uint8_t> dist_len(
-                all.begin() + static_cast<long>(hlit), all.end());
-            const CanonicalDecoder lit(lit_len);
-            const CanonicalDecoder dist(dist_len);
-            if (!lit.usable())
+            const std::span<const std::uint8_t> lit_len(all.data(), hlit);
+            const std::span<const std::uint8_t> dist_len(
+                all.data() + hlit, hdist);
+            if (lit_len[256] == 0)
                 throw std::runtime_error(
-                    "deflate: empty literal code");
+                    "deflate: missing end-of-block code");
+            const CanonicalDecoder lit(lit_len, true, true);
+            const CanonicalDecoder dist(dist_len, true, true);
             inflateCodedBlock(br, lit, dist, out);
         } else {
             throw std::runtime_error("deflate: reserved block type");

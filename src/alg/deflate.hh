@@ -32,7 +32,46 @@ struct DeflateConfig
 };
 
 /**
- * Compress @p input into a self-contained DEFLATE stream.
+ * Reusable compression workspace: hash heads, chain links, the token
+ * stream and the output buffers survive across calls, so compressing
+ * a packet allocates nothing once the buffers have grown to the
+ * largest input. Hash heads are tagged with a per-call base offset
+ * (an entry below the base belongs to an earlier input), so no call
+ * clears the 128 KiB head table. One instance per caller; not
+ * thread-safe.
+ */
+class Deflater
+{
+  public:
+    /** One LZ77 token: a literal (dist == 0) or a (length, dist) match. */
+    struct Token
+    {
+        std::uint16_t lit_or_len;
+        std::uint16_t dist;
+    };
+
+    Deflater();
+
+    /**
+     * Compress @p input into a self-contained DEFLATE stream. The
+     * result views the workspace and stays valid until the next call.
+     */
+    std::span<const std::uint8_t> compress(
+        std::span<const std::uint8_t> input,
+        const DeflateConfig &cfg = DeflateConfig{});
+
+  private:
+    std::vector<std::uint32_t> head_;   //!< base_ + pos, by 3-byte hash
+    std::vector<std::uint32_t> prev_;   //!< chain link per position
+    std::vector<Token> tokens_;
+    std::vector<std::uint8_t> out_;     //!< fixed or stored encoding
+    std::vector<std::uint8_t> alt_;     //!< dynamic encoding
+    std::uint32_t base_ = 1;            //!< this call's head tag base
+};
+
+/**
+ * Compress @p input into a self-contained DEFLATE stream (a fresh
+ * Deflater per call; reuse a Deflater on hot paths).
  */
 std::vector<std::uint8_t> deflateCompress(
     std::span<const std::uint8_t> input,
@@ -40,7 +79,9 @@ std::vector<std::uint8_t> deflateCompress(
 
 /**
  * Decompress any conforming DEFLATE stream (stored, fixed, and
- * dynamic blocks).
+ * dynamic blocks). Like zlib, rejects over-subscribed and incomplete
+ * dynamic code sets; the one incomplete set allowed is a literal or
+ * distance code of a single length-1 code.
  * @throws std::runtime_error on malformed input
  */
 std::vector<std::uint8_t> deflateDecompress(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "alg/deflate.hh"
 #include "alg/sha256.hh"
 #include "net/bytes.hh"
 
@@ -35,6 +34,7 @@ RemFunction::RemFunction(Config cfg)
                                   cfg.seed ^ 0xC0))
 {}
 
+// halint: hotpath
 void
 RemFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
@@ -57,7 +57,7 @@ RemFunction::makeRequest(net::Packet &pkt, Rng &rng)
 }
 
 CryptoFunction::CryptoFunction(Config cfg)
-    : cfg_(cfg), n_(alg::groups::prime512()), g_(2), e_(65537)
+    : cfg_(cfg), mont_(alg::groups::prime512()), g_(2), e_(65537)
 {}
 
 void
@@ -76,22 +76,22 @@ CryptoFunction::process(net::Packet &pkt, coherence::StateContext &)
     switch (op) {
       case 0:
         // RSA-style: digest^e mod n.
-        result = m.modexp(e_, n_);
+        result = mont_.modexp(m, e_);
         break;
       case 1: {
         // DH-style: g^x mod p with an ephemeral exponent derived
         // from the digest (truncated to the configured bits).
         const alg::BigUint x =
             m % (alg::BigUint(1) << cfg_.exponent_bits);
-        result = g_.modexp(x + alg::BigUint(1), n_);
+        result = mont_.modexp(g_, x + alg::BigUint(1));
         break;
       }
       default: {
         // DSA-style: r = (g^k mod p) and fold in the digest.
         const alg::BigUint k =
             (m >> 128) % (alg::BigUint(1) << cfg_.exponent_bits);
-        const alg::BigUint r = g_.modexp(k + alg::BigUint(2), n_);
-        result = (r * m) % n_;
+        const alg::BigUint r = mont_.modexp(g_, k + alg::BigUint(2));
+        result = (r * m) % mont_.modulus();
         break;
       }
     }
@@ -120,6 +120,7 @@ CompressFunction::CompressFunction(Config cfg)
     : cfg_(cfg), corpus_(alg::makeSilesiaLike(1 << 20, cfg.seed))
 {}
 
+// halint: hotpath
 void
 CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
 {
@@ -130,7 +131,8 @@ CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
     // Deflate engines the paper drives (dynamic-table construction
     // per 1.5 KB packet costs more than it saves).
     dc.allow_dynamic = false;
-    const std::vector<std::uint8_t> compressed = deflateCompress(p, dc);
+    const std::span<const std::uint8_t> compressed =
+        deflater_.compress(p, dc);
     bytesIn_ += p.size();
     bytesOut_ += compressed.size();
 

@@ -16,6 +16,7 @@
 #include "alg/aho_corasick.hh"
 #include "alg/bignum.hh"
 #include "alg/corpus.hh"
+#include "alg/deflate.hh"
 #include "funcs/function.hh"
 
 namespace halsim::funcs {
@@ -107,13 +108,13 @@ class CryptoFunction : public NetworkFunction
                  coherence::StateContext &state) override;
     void makeRequest(net::Packet &pkt, Rng &rng) override;
 
-    const alg::BigUint &modulus() const { return n_; }
+    const alg::BigUint &modulus() const { return mont_.modulus(); }
 
   private:
     Config cfg_;
-    alg::BigUint n_;   //!< 512-bit prime modulus
-    alg::BigUint g_;   //!< generator
-    alg::BigUint e_;   //!< RSA-style public exponent
+    alg::MontgomeryContext mont_;   //!< over the 512-bit prime modulus
+    alg::BigUint g_;                //!< generator
+    alg::BigUint e_;                //!< RSA-style public exponent
 };
 
 /**
@@ -151,6 +152,8 @@ class CompressFunction : public NetworkFunction
   private:
     Config cfg_;
     std::vector<std::uint8_t> corpus_;
+    /** This instance's compression workspace (never shared). */
+    alg::Deflater deflater_;
     std::uint64_t bytesIn_ = 0;
     std::uint64_t bytesOut_ = 0;
 };

@@ -430,6 +430,54 @@ TEST(Compress, ResponseHeaderIsConsistent)
     EXPECT_EQ(net::load32(pkt->payload().data() + 4), comp.bytesOut());
 }
 
+namespace {
+
+/**
+ * FNV-1a 64 over the responses of @p fn to 512 seeded requests, frame
+ * sizes 64..1514 B. Locks the payload kernels' output bytes: response
+ * sizes and bytes feed link timing and every drift gate downstream.
+ */
+std::uint64_t
+responseDigest(NetworkFunction &fn, std::uint64_t seed)
+{
+    auto st = nullState();
+    Rng rng(seed);
+    Rng frames(seed ^ 0xF5A3);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 512; ++i) {
+        auto pkt = blankPacket(64 + frames.uniformInt(1514 - 64 + 1));
+        fn.makeRequest(*pkt, rng);
+        fn.process(*pkt, st);
+        for (std::uint8_t b : pkt->payload()) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+} // namespace
+
+// Any change to these digests means a payload kernel's output bytes
+// moved: response sizes feed link timing, so every RunResult would too.
+TEST(ByteIdentity, CompressResponses)
+{
+    CompressFunction comp;
+    EXPECT_EQ(responseDigest(comp, 21), 0x507c965341339c22ull);
+}
+
+TEST(ByteIdentity, CryptoResponses)
+{
+    CryptoFunction crypto;
+    EXPECT_EQ(responseDigest(crypto, 22), 0x79850411a983e906ull);
+}
+
+TEST(ByteIdentity, RemResponses)
+{
+    RemFunction rem;
+    EXPECT_EQ(responseDigest(rem, 23), 0xe6efb4471391b08cull);
+}
+
 TEST(Pipeline, RunsBothStagesInOrder)
 {
     // NAT + REM: NAT translates the header, REM scans the payload.
