@@ -201,10 +201,10 @@ class TrafficMerger : public net::PacketSink
         : cfg_(cfg), out_(out)
     {}
 
-    /** Attach the packet tracer (@p eq supplies timestamps): every
-     *  host-sourced rewrite records TracePoint::Merge. */
+    /** Attach the trace ring (@p eq supplies timestamps): every
+     *  host-sourced rewrite records SpanKind::Merge. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -221,7 +221,7 @@ class TrafficMerger : public net::PacketSink
             ++merged_;
             obs::tracePacket(trace_,
                              traceEq_ != nullptr ? traceEq_->now() : 0,
-                             pkt->id, obs::TracePoint::Merge,
+                             pkt->id, obs::SpanKind::Merge,
                              traceLane_);
         }
         ++total_;
@@ -238,7 +238,7 @@ class TrafficMerger : public net::PacketSink
     std::uint64_t total_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

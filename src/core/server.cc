@@ -78,31 +78,11 @@ ServerConfig::validate() const
     if (slo.epoch <= 0)
         fail("slo.epoch must be > 0");
 
-    if (obs.enabled()) {
-        if (obs.stats && obs.sample_epoch == 0)
-            fail("obs.sample_epoch must be > 0 when obs.stats is on");
-        if (obs.trace && obs.trace_capacity == 0)
-            fail("obs.trace_capacity must be > 0 when obs.trace is on");
-        if (obs.trace && obs.trace_sample_every == 0)
-            fail("obs.trace_sample_every must be > 0 when obs.trace "
-                 "is on");
-        if (obs.spans && obs.span_capacity == 0)
-            fail("obs.span_capacity must be > 0 when obs.spans is on");
-        if (obs.spans && obs.span_sample_every == 0)
-            fail("obs.span_sample_every must be > 0 when obs.spans "
-                 "is on");
-        if (obs.flightrec && obs.fr_capacity == 0)
-            fail("obs.fr_capacity must be > 0 when obs.flightrec "
-                 "is on");
-        if (obs.flightrec && obs.fr_max_dumps == 0)
-            fail("obs.fr_max_dumps must be > 0 when obs.flightrec "
-                 "is on");
-    }
-
-    // The power-policy sub-struct validates itself (same
-    // every-violation-in-one-pass contract); splice its messages in.
-    std::vector<std::string> power_errors = power.validate();
-    for (std::string &e : power_errors)
+    // The obs and power-policy sub-structs validate themselves (same
+    // every-violation-in-one-pass contract); splice their messages in.
+    for (std::string &e : obs.validate())
+        errors.push_back(std::move(e));
+    for (std::string &e : power.validate())
         errors.push_back(std::move(e));
 
     return errors;
@@ -487,9 +467,13 @@ ServerSystem::buildObs()
         return;
     obs_ = std::make_unique<obs::Observability>(eq_, cfg_.obs);
 
-    obs::PacketTracer *tr = obs_->tracer();
+    // One ring holds both the sampled packet stages (obs.trace) and
+    // the governor marks (obs.spans); the flight recorder only ever
+    // sees the marks.
+    using obs::Lane;
+    obs::SpanTracer *ring = obs_->spans();
+    obs::SpanTracer *tr = cfg_.obs.trace ? ring : nullptr;
     if (tr != nullptr) {
-        using obs::Lane;
         tr->setLaneName(obs::laneId(Lane::ClientLink), "client_link");
         tr->setLaneName(obs::laneId(Lane::Eswitch), "eswitch");
         tr->setLaneName(obs::laneId(Lane::SnicRing), "snic_ring");
@@ -501,30 +485,23 @@ ServerSystem::buildObs()
         tr->setLaneName(obs::laneId(Lane::Slb), "slb");
 
         clientLink_->setTrace(tr, obs::laneId(Lane::ClientLink),
-                              obs::TracePoint::Ingress);
+                              obs::SpanKind::Ingress);
         returnLink_->setTrace(tr, obs::laneId(Lane::ReturnLink),
-                              obs::TracePoint::Egress);
+                              obs::SpanKind::Egress);
         if (eswitch_ != nullptr)
             eswitch_->setTrace(tr, obs::laneId(Lane::Eswitch), &eq_);
         if (merger_ != nullptr)
             merger_->setTrace(tr, obs::laneId(Lane::Merger), &eq_);
     }
 
-    obs::SpanTracer *sp = obs_->spans();
+    obs::SpanTracer *sp = cfg_.obs.spans ? ring : nullptr;
     obs::FlightRecorder *fr = obs_->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
-        const std::uint8_t govLane =
-            obs::spanLaneId(obs::SpanLane::Governor);
-        const std::uint8_t srvLane =
-            obs::spanLaneId(obs::SpanLane::Server);
-        if (sp != nullptr) {
+        const std::uint8_t govLane = obs::laneId(Lane::Governor);
+        if (sp != nullptr)
             sp->setLaneName(govLane, "governor");
-            sp->setLaneName(srvLane, "server");
-        }
-        if (fr != nullptr) {
+        if (fr != nullptr)
             fr->setLaneName(govLane, "governor");
-            fr->setLaneName(srvLane, "server");
-        }
         if (snic_ != nullptr && snic_->coreGovernor() != nullptr)
             snic_->coreGovernor()->attachSpans(sp, fr, govLane);
         if (host_ != nullptr && host_->coreGovernor() != nullptr)
@@ -541,14 +518,14 @@ ServerSystem::buildObs()
 
     if (snic_ != nullptr) {
         snic_->attachObs(reg, tr, "server.snic",
-                         obs::laneId(obs::Lane::SnicRing),
-                         obs::laneId(obs::Lane::SnicCore),
+                         obs::laneId(Lane::SnicRing),
+                         obs::laneId(Lane::SnicCore),
                          cfg_.obs.series);
     }
     if (host_ != nullptr) {
         host_->attachObs(reg, tr, "server.host",
-                         obs::laneId(obs::Lane::HostRing),
-                         obs::laneId(obs::Lane::HostCore),
+                         obs::laneId(Lane::HostRing),
+                         obs::laneId(Lane::HostCore),
                          cfg_.obs.series);
     }
 
@@ -723,15 +700,14 @@ ServerSystem::buildObs()
         reg->fnGauge("server.slo.worst_epoch_p99_us",
                      [this] { return slo_->worstEpochP99Us(); });
 
-        obs::PacketTracer *tracer = obs_->tracer();
-        if (tracer != nullptr) {
-            // Tail attribution recomputes from the tracer ring at
+        if (tr != nullptr) {
+            // Tail attribution recomputes from the trace ring at
             // serialization time; deterministic for a given ring, and
             // stats-tree-only (RunResult must not depend on tracing).
             const Tick target = static_cast<Tick>(
                 cfg_.slo.target_p99_us * static_cast<double>(kUs));
-            auto tail = [tracer, target] {
-                return obs::attributeTail(*tracer, target);
+            auto tail = [tr, target] {
+                return obs::attributeTail(*tr, target);
             };
             reg->fnCounter("server.slo.tail_dispatch",
                            [tail] { return tail().dispatch; });
@@ -869,8 +845,6 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     // is read-only, so results are identical with obs off.
     if (obs_ != nullptr) {
         obs_->registry().resetAll();
-        if (obs_->tracer() != nullptr)
-            obs_->tracer()->clear();
         if (obs_->spans() != nullptr)
             obs_->spans()->clear();
         if (obs_->flightRecorder() != nullptr)
@@ -983,18 +957,8 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
 
     // --- distributed tracing / flight recorder (zero when off) -------
     if (obs_ != nullptr) {
-        if (obs::SpanTracer *sp = obs_->spans(); sp != nullptr) {
-            // Re-emit the packet-stage records as Server-lane span
-            // instants so one Chrome document shows a sampled
-            // request's governor decisions next to its pipeline
-            // stages.
-            if (obs_->tracer() != nullptr) {
-                sp->bridgeStages(
-                    *obs_->tracer(),
-                    obs::spanLaneId(obs::SpanLane::Server));
-            }
-            r.trace_spans = sp->recorded();
-        }
+        if (cfg_.obs.spans)
+            r.trace_spans = obs_->spans()->recorded();
         if (obs::FlightRecorder *f = obs_->flightRecorder();
             f != nullptr) {
             // The drain already ran any scheduled flush; this only

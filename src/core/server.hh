@@ -389,7 +389,7 @@ class ServerSystem
     /** SLO violation-window monitor (null unless cfg.slo enabled). */
     std::unique_ptr<obs::SloMonitor> slo_;
 
-    /** Stats registry + packet tracer (null when disabled). */
+    /** Stats registry + trace ring (null when disabled). */
     std::unique_ptr<obs::Observability> obs_;
 
     net::PacketSink *ingress_ = nullptr;

@@ -33,21 +33,17 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
 {
     const bool want_stats = !opts.stats_path.empty();
     const bool want_trace = !opts.trace_path.empty();
-    const bool want_spans = !opts.span_path.empty();
     const bool want_fr = !opts.flightrec_path.empty();
 
     std::vector<RunResult> results(points.size());
     std::vector<std::string> stats(points.size());
     std::vector<std::string> traces(points.size());
-    std::vector<std::string> spans(points.size());
     std::vector<std::string> frs(points.size());
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         SweepPoint p = points[i];
         p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        // Server-side span content is the bridged packet-stage
-        // records, so --trace-spans needs the packet tracer live too.
-        p.cfg.obs.trace = p.cfg.obs.trace || want_trace || want_spans;
-        p.cfg.obs.spans = p.cfg.obs.spans || want_spans;
+        p.cfg.obs.trace = p.cfg.obs.trace || want_trace;
+        p.cfg.obs.spans = p.cfg.obs.spans || want_trace;
         if (want_fr) {
             p.cfg.obs.flightrec = true;
             if (opts.fr_armed != 0)
@@ -75,21 +71,12 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
             sys.obs()->writeStatsJson(os);
             stats[i] = os.str();
         }
-        if (want_trace && sys.obs() != nullptr &&
-            sys.obs()->tracer() != nullptr) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->tracer()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            traces[i] = os.str();
-        }
-        if (want_spans && sys.obs() != nullptr &&
-            sys.obs()->spans() != nullptr) {
+        if (want_trace) {
             std::ostringstream os;
             bool first = true;
             sys.obs()->spans()->writeChromeEvents(
                 os, static_cast<int>(i), first);
-            spans[i] = os.str();
+            traces[i] = os.str();
         }
         if (want_fr && sys.obs() != nullptr &&
             sys.obs()->flightRecorder() != nullptr) {
@@ -102,7 +89,7 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
     if (!opts.json_path.empty())
         writeSweepJson(opts.json_path, opts.bench_name, points, results,
                        opts.threads);
-    if (want_stats || want_trace || want_spans || want_fr) {
+    if (want_stats || want_trace || want_fr) {
         obs::SweepReport rep(opts.bench_name, opts.threads);
         if (!points.empty()) {
             rep.setTraceMetadata(modeName(points[0].cfg.mode),
@@ -112,7 +99,7 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
             if (want_stats)
                 rep.addStats(points[i].label, stats[i]);
             if (want_trace)
-                rep.addTraceEvents(traces[i]);
+                rep.addChromeEvents(traces[i]);
             if (want_fr)
                 rep.addFlightRec(points[i].label, frs[i]);
         }
@@ -122,19 +109,6 @@ runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
             rep.saveTraceJson(opts.trace_path);
         if (want_fr)
             rep.saveFlightRecJson(opts.flightrec_path);
-        if (want_spans) {
-            // Span events live in their own document: span rows use
-            // the same pid space as the packet-stage rows, so merging
-            // them into the --trace artifact would collide tids.
-            obs::SweepReport spanRep(opts.bench_name, opts.threads);
-            if (!points.empty()) {
-                spanRep.setTraceMetadata(
-                    modeName(points[0].cfg.mode), points[0].cfg.seed);
-            }
-            for (std::size_t i = 0; i < points.size(); ++i)
-                spanRep.addTraceEvents(spans[i]);
-            spanRep.saveTraceJson(opts.span_path);
-        }
     }
     return results;
 }
@@ -251,15 +225,11 @@ registerSweepFlags(ArgRegistrar &reg, SweepOptions &opts)
                   opts.stats_path = v;
                   return {};
               });
-    reg.value("--trace", "PATH", "write a Chrome trace_event JSON here",
+    reg.value("--trace", "PATH",
+              "record packet stages and request/control spans and "
+              "write them as one Chrome trace_event JSON here",
               [&opts](const std::string &v) -> std::string {
                   opts.trace_path = v;
-                  return {};
-              });
-    reg.value("--trace-spans", "PATH",
-              "write the request-span Chrome trace_event JSON here",
-              [&opts](const std::string &v) -> std::string {
-                  opts.span_path = v;
                   return {};
               });
     reg.value("--flightrec", "PATH",

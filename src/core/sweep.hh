@@ -58,12 +58,10 @@ struct SweepOptions
     /** When non-empty, enable stats and write the per-point stats
      *  trees here ({"bench","points":[{"label","stats":{...}}]}). */
     std::string stats_path;
-    /** When non-empty, enable tracing and write a Chrome
-     *  trace_event JSON here (one pid per sweep point). */
+    /** When non-empty, enable stage and span tracing (obs.trace and
+     *  obs.spans) and write the one Chrome trace_event JSON here (one
+     *  pid per sweep point). */
     std::string trace_path;
-    /** When non-empty, enable request-span tracing and write the
-     *  merged Chrome span document here (one pid per point). */
-    std::string span_path;
     /** When non-empty, enable the flight recorder and write its
      *  dump artifact here ({"bench","points":[{"label",
      *  "flightrec":{...}}]}). */
@@ -137,7 +135,7 @@ class ArgRegistrar
 /**
  * Register the shared sweep/CLI flag set against @p opts:
  * `--threads N|all`, `--json PATH`, `--stats-out PATH`,
- * `--trace PATH`, `--trace-spans PATH`, `--flightrec PATH`,
+ * `--trace PATH`, `--flightrec PATH`,
  * `--fr-trigger LIST`, `--slo-p99 US`, `--governor on|off`, and
  * `--gov-epoch US`.
  */
@@ -157,9 +155,9 @@ void applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg);
 /**
  * Run every point (possibly in parallel) and return results in input
  * order. Writes the JSON artifacts named by opts.json_path /
- * opts.stats_path / opts.trace_path / opts.span_path /
- * opts.flightrec_path; all but the first force the corresponding
- * ObsConfig flag on for every point. Artifacts are byte-deterministic
+ * opts.stats_path / opts.trace_path / opts.flightrec_path; all but
+ * the first force the ObsConfig flags they need on for every point
+ * (--trace: obs.trace and obs.spans). Artifacts are byte-deterministic
  * for a given point list (no wall-clock content).
  */
 std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,

@@ -85,26 +85,8 @@ FleetConfig::validate() const
     if (slo.epoch <= 0)
         fail("slo.epoch must be > 0");
 
-    if (obs.enabled()) {
-        if (obs.stats && obs.sample_epoch == 0)
-            fail("obs.sample_epoch must be > 0 when obs.stats is on");
-        if (obs.trace && obs.trace_capacity == 0)
-            fail("obs.trace_capacity must be > 0 when obs.trace is on");
-        if (obs.trace && obs.trace_sample_every == 0)
-            fail("obs.trace_sample_every must be > 0 when obs.trace "
-                 "is on");
-        if (obs.spans && obs.span_capacity == 0)
-            fail("obs.span_capacity must be > 0 when obs.spans is on");
-        if (obs.spans && obs.span_sample_every == 0)
-            fail("obs.span_sample_every must be > 0 when obs.spans "
-                 "is on");
-        if (obs.flightrec && obs.fr_capacity == 0)
-            fail("obs.fr_capacity must be > 0 when obs.flightrec "
-                 "is on");
-        if (obs.flightrec && obs.fr_max_dumps == 0)
-            fail("obs.fr_max_dumps must be > 0 when obs.flightrec "
-                 "is on");
-    }
+    for (std::string &e : obs.validate())
+        errors.push_back(std::move(e));
 
     return errors;
 }
@@ -215,30 +197,26 @@ FleetSystem::buildObs()
         return;
     obs_ = std::make_unique<obs::Observability>(eq_, cfg_.obs);
 
-    obs::SpanTracer *sp = obs_->spans();
+    // The fleet has no packet stages: only obs.spans feeds the ring.
+    using obs::Lane;
+    obs::SpanTracer *sp = cfg_.obs.spans ? obs_->spans() : nullptr;
     obs::FlightRecorder *fr = obs_->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
-        const auto nameLane = [sp, fr](obs::SpanLane l,
-                                       const char *name) {
+        const auto nameLane = [sp, fr](Lane l, const char *name) {
             if (sp != nullptr)
-                sp->setLaneName(obs::spanLaneId(l), name);
+                sp->setLaneName(obs::laneId(l), name);
             if (fr != nullptr)
-                fr->setLaneName(obs::spanLaneId(l), name);
+                fr->setLaneName(obs::laneId(l), name);
         };
-        nameLane(obs::SpanLane::Client, "client");
-        nameLane(obs::SpanLane::Frontend, "frontend");
-        nameLane(obs::SpanLane::Backend, "backend");
-        nameLane(obs::SpanLane::Health, "health");
-        client_->attachSpans(sp, fr,
-                             obs::spanLaneId(obs::SpanLane::Client));
-        frontend_->attachSpans(
-            sp, fr, obs::spanLaneId(obs::SpanLane::Frontend));
-        for (auto &b : backends_) {
-            b->attachSpans(sp, fr,
-                           obs::spanLaneId(obs::SpanLane::Backend));
-        }
-        health_->attachSpans(sp, fr,
-                             obs::spanLaneId(obs::SpanLane::Health));
+        nameLane(Lane::Client, "client");
+        nameLane(Lane::Frontend, "frontend");
+        nameLane(Lane::Backend, "backend");
+        nameLane(Lane::Health, "health");
+        client_->attachSpans(sp, fr, obs::laneId(Lane::Client));
+        frontend_->attachSpans(sp, fr, obs::laneId(Lane::Frontend));
+        for (auto &b : backends_)
+            b->attachSpans(sp, fr, obs::laneId(Lane::Backend));
+        health_->attachSpans(sp, fr, obs::laneId(Lane::Health));
     }
     if (fr != nullptr && slo_ != nullptr) {
         slo_->setOnViolation([this, fr](Tick, double p99_us) {
@@ -492,8 +470,6 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
         slo_->beginWindow(measure_start, end);
     if (obs_ != nullptr) {
         obs_->registry().resetAll();
-        if (obs_->tracer() != nullptr)
-            obs_->tracer()->clear();
         if (obs_->spans() != nullptr)
             obs_->spans()->clear();
         if (obs_->flightRecorder() != nullptr)
@@ -593,8 +569,8 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     r.past_clamps = eq_.pastClamps();
 
     if (obs_ != nullptr) {
-        if (const obs::SpanTracer *t = obs_->spans(); t != nullptr)
-            r.trace_spans = t->recorded();
+        if (cfg_.obs.spans)
+            r.trace_spans = obs_->spans()->recorded();
         if (obs::FlightRecorder *f = obs_->flightRecorder();
             f != nullptr) {
             // The drain ran every scheduled flush; this only closes
@@ -663,17 +639,19 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
               const core::SweepOptions &opts)
 {
     const bool want_stats = !opts.stats_path.empty();
-    const bool want_spans = !opts.span_path.empty();
+    const bool want_trace = !opts.trace_path.empty();
     const bool want_fr = !opts.flightrec_path.empty();
 
     std::vector<core::RunResult> results(points.size());
     std::vector<std::string> stats(points.size());
-    std::vector<std::string> spans(points.size());
+    std::vector<std::string> traces(points.size());
     std::vector<std::string> frs(points.size());
     parallelFor(points.size(), opts.threads, [&](std::size_t i) {
         FleetSweepPoint p = points[i];
         p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        p.cfg.obs.spans = p.cfg.obs.spans || want_spans;
+        // The fleet records no packet stages: --trace needs only the
+        // request and control spans.
+        p.cfg.obs.spans = p.cfg.obs.spans || want_trace;
         if (want_fr) {
             p.cfg.obs.flightrec = true;
             if (opts.fr_armed != 0)
@@ -694,13 +672,12 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
             sys.obs()->writeStatsJson(os);
             stats[i] = os.str();
         }
-        if (want_spans && sys.obs() != nullptr &&
-            sys.obs()->spans() != nullptr) {
+        if (want_trace) {
             std::ostringstream os;
             bool first = true;
             sys.obs()->spans()->writeChromeEvents(
                 os, static_cast<int>(i), first);
-            spans[i] = os.str();
+            traces[i] = os.str();
         }
         if (want_fr && sys.obs() != nullptr &&
             sys.obs()->flightRecorder() != nullptr) {
@@ -722,13 +699,13 @@ runFleetSweep(const std::vector<FleetSweepPoint> &points,
             rep.addStats(points[i].label, stats[i]);
         rep.saveStatsJson(opts.stats_path);
     }
-    if (want_spans) {
+    if (want_trace) {
         obs::SweepReport rep(opts.bench_name, opts.threads);
         if (!points.empty())
             rep.setTraceMetadata("fleet", points[0].cfg.seed);
         for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addTraceEvents(spans[i]);
-        rep.saveTraceJson(opts.span_path);
+            rep.addChromeEvents(traces[i]);
+        rep.saveTraceJson(opts.trace_path);
     }
     if (want_fr) {
         obs::SweepReport rep(opts.bench_name, opts.threads);

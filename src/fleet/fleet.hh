@@ -71,7 +71,9 @@ struct FleetConfig
     /** Scheduled fault events, times relative to run() start. */
     fault::FaultPlan faults;
 
-    obs::ObsConfig obs;
+    /** Request spans sample 1 request in 16 (ServerSystem's packet
+     *  stages keep ObsConfig's 1 in 64). */
+    obs::ObsConfig obs{.trace_sample_every = 16};
     obs::SloConfig slo;
 
     /**

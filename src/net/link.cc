@@ -20,19 +20,19 @@ Link::send(PacketPtr pkt)
         if (lossProb_ > 0.0 && faultRng_->chance(lossProb_)) {
             ++faultLost_;
             obs::tracePacket(trace_, now, pkt->id,
-                             obs::TracePoint::Drop, traceLane_);
+                             obs::SpanKind::Drop, traceLane_);
             return;
         }
         if (corruptProb_ > 0.0 && faultRng_->chance(corruptProb_)) {
             ++corrupted_;
             obs::tracePacket(trace_, now, pkt->id,
-                             obs::TracePoint::Drop, traceLane_);
+                             obs::SpanKind::Drop, traceLane_);
             return;
         }
     }
     if (queued_ >= cfg_.max_queue) {
         ++drops_;
-        obs::tracePacket(trace_, now, pkt->id, obs::TracePoint::Drop,
+        obs::tracePacket(trace_, now, pkt->id, obs::SpanKind::Drop,
                          traceLane_, queued_);
         return;
     }
@@ -45,7 +45,7 @@ Link::send(PacketPtr pkt)
     ++queued_;
     deliveredBytes_ += pkt->size();
     ++deliveredFrames_;
-    obs::tracePacket(trace_, now, pkt->id, tracePoint_, traceLane_);
+    obs::tracePacket(trace_, now, pkt->id, traceStage_, traceLane_);
 
     // Hand ownership to the delivery channel.
     chan_.push(deliver, std::move(pkt));

@@ -98,17 +98,16 @@ class Link : public PacketSink, private TimedChannel::Receiver
     const Config &config() const { return cfg_; }
 
     /**
-     * Attach the packet tracer. @p point is what a successful
+     * Attach the trace ring. @p stage is what a successful
      * traversal records (Ingress for the client link, Egress for the
-     * return link); losses record TracePoint::Drop on the same lane.
+     * return link); losses record SpanKind::Drop on the same lane.
      */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
-             obs::TracePoint point)
+    setTrace(obs::SpanTracer *t, std::uint8_t lane, obs::SpanKind stage)
     {
         trace_ = t;
         traceLane_ = lane;
-        tracePoint_ = point;
+        traceStage_ = stage;
     }
 
   private:
@@ -138,9 +137,9 @@ class Link : public PacketSink, private TimedChannel::Receiver
     std::uint64_t corrupted_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
-    obs::TracePoint tracePoint_ = obs::TracePoint::Ingress;
+    obs::SpanKind traceStage_ = obs::SpanKind::Ingress;
 };
 
 } // namespace halsim::net

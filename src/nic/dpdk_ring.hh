@@ -41,11 +41,11 @@ class DpdkRing : public net::PacketSink
     /** Hook invoked after a successful enqueue into an empty ring. */
     void setNotify(std::function<void()> fn) { notify_ = std::move(fn); }
 
-    /** Attach the packet tracer (@p eq supplies timestamps):
+    /** Attach the trace ring (@p eq supplies timestamps):
      *  enqueues record RingEnqueue with the post-enqueue occupancy
      *  as arg, tail-drops record Drop. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -61,7 +61,7 @@ class DpdkRing : public net::PacketSink
             ++drops_;
             obs::tracePacket(trace_,
                              traceEq_ != nullptr ? traceEq_->now() : 0,
-                             pkt->id, obs::TracePoint::Drop, traceLane_,
+                             pkt->id, obs::SpanKind::Drop, traceLane_,
                              occupancy());
             return;
         }
@@ -69,7 +69,7 @@ class DpdkRing : public net::PacketSink
         bytesIn_ += pkt->size();
         obs::tracePacket(trace_,
                          traceEq_ != nullptr ? traceEq_->now() : 0,
-                         pkt->id, obs::TracePoint::RingEnqueue,
+                         pkt->id, obs::SpanKind::RingEnqueue,
                          traceLane_, occupancy() + 1);
         slots_[slot(count_)] = std::move(pkt);
         ++count_;
@@ -136,7 +136,7 @@ class DpdkRing : public net::PacketSink
     bool disabled_ = false;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

@@ -60,11 +60,11 @@ class ESwitch : public net::PacketSink
         }
     }
 
-    /** Attach the packet tracer (@p eq supplies timestamps): matches
+    /** Attach the trace ring (@p eq supplies timestamps): matches
      *  record EswitchVerdict with the rule index as arg; blackholed
      *  and unrouted frames record Drop. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t lane,
              const EventQueue *eq)
     {
         trace_ = t;
@@ -85,14 +85,14 @@ class ESwitch : public net::PacketSink
                     obs::tracePacket(
                         trace_,
                         traceEq_ != nullptr ? traceEq_->now() : 0,
-                        pkt->id, obs::TracePoint::Drop, traceLane_,
+                        pkt->id, obs::SpanKind::Drop, traceLane_,
                         static_cast<std::uint32_t>(i));
                     return;
                 }
                 ++matched_;
                 obs::tracePacket(
                     trace_, traceEq_ != nullptr ? traceEq_->now() : 0,
-                    pkt->id, obs::TracePoint::EswitchVerdict,
+                    pkt->id, obs::SpanKind::EswitchVerdict,
                     traceLane_, static_cast<std::uint32_t>(i));
                 r.port->accept(std::move(pkt));
                 return;
@@ -105,7 +105,7 @@ class ESwitch : public net::PacketSink
         ++unrouted_;
         obs::tracePacket(trace_,
                          traceEq_ != nullptr ? traceEq_->now() : 0,
-                         pkt->id, obs::TracePoint::Drop, traceLane_);
+                         pkt->id, obs::SpanKind::Drop, traceLane_);
     }
 
     std::uint64_t matched() const { return matched_; }
@@ -130,7 +130,7 @@ class ESwitch : public net::PacketSink
     std::uint64_t blackholed_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     const EventQueue *traceEq_ = nullptr;
 };

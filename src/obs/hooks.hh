@@ -2,8 +2,9 @@
  * @file
  * Zero-cost-when-disabled instrumentation hooks.
  *
- * Instrumented components hold a raw `PacketTracer *` that is null
- * unless tracing was requested; tracePacket() then costs one
+ * Instrumented components hold a raw `SpanTracer *` (and, for the
+ * request/control sites, a `FlightRecorder *`) that is null unless
+ * the feature was requested; every hook then costs one
  * perfectly-predicted branch. When enabled, the sampling test is one
  * modulo and the record is one indexed POD store — no allocation, so
  * call sites inside `// halint: hotpath` functions stay HAL-W004
@@ -14,21 +15,21 @@
 #define HALSIM_OBS_HOOKS_HH
 
 #include "obs/span.hh"
-#include "obs/trace.hh"
 
 namespace halsim::obs {
 
-/** Record a lifecycle point for @p pkt_id if tracing is enabled and
- *  the packet is in the sampled subset. */
+/** Record packet stage @p k as an instant for @p pkt_id if stage
+ *  tracing is enabled and the packet is in the sampled subset. Stages
+ *  never go to the flight recorder. */
 inline void
-tracePacket(PacketTracer *t, Tick now, std::uint64_t pkt_id,
-            TracePoint p, std::uint8_t lane, std::uint32_t arg = 0)
+tracePacket(SpanTracer *t, Tick now, std::uint64_t pkt_id, SpanKind k,
+            std::uint8_t lane, std::uint32_t arg = 0)
 {
     if (t != nullptr && t->wants(pkt_id))
-        t->record(now, pkt_id, p, lane, arg);
+        t->record(now, pkt_id, k, SpanPhase::Instant, lane, arg);
 }
 
-/** Record a request-scoped span event: into the span ring if span
+/** Record a request-scoped span event: into the trace ring if span
  *  tracing is enabled and the trace id is in the sampled subset, and
  *  into the always-on flight-recorder ring if that is armed. Both
  *  pointers are null when the corresponding feature is off, so the
@@ -65,28 +66,6 @@ frTrigger(FlightRecorder *fr, Tick now, FrTrigger t,
 {
     if (fr != nullptr)
         fr->trigger(now, t, arg);
-}
-
-/** Canonical lane numbering used by ServerSystem's instrumentation;
- *  components are free to use others, but sharing one table keeps
- *  the Chrome view consistent across benches. */
-enum class Lane : std::uint8_t
-{
-    ClientLink = 0,
-    Eswitch = 1,
-    SnicRing = 2,
-    SnicCore = 3,
-    HostRing = 4,
-    HostCore = 5,
-    Merger = 6,
-    ReturnLink = 7,
-    Slb = 8,
-};
-
-inline std::uint8_t
-laneId(Lane l)
-{
-    return static_cast<std::uint8_t>(l);
 }
 
 } // namespace halsim::obs

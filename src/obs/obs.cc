@@ -2,19 +2,37 @@
 
 namespace halsim::obs {
 
+std::vector<std::string>
+ObsConfig::validate() const
+{
+    std::vector<std::string> errors;
+    if (!enabled())
+        return errors;
+    if (stats && sample_epoch == 0)
+        errors.emplace_back("obs.sample_epoch must be > 0 when obs.stats "
+                            "is on");
+    if ((trace || spans) && trace_capacity == 0)
+        errors.emplace_back("obs.trace_capacity must be > 0 when "
+                            "obs.trace or obs.spans is on");
+    if ((trace || spans) && trace_sample_every == 0)
+        errors.emplace_back("obs.trace_sample_every must be > 0 when "
+                            "obs.trace or obs.spans is on");
+    if (flightrec && fr_capacity == 0)
+        errors.emplace_back("obs.fr_capacity must be > 0 when "
+                            "obs.flightrec is on");
+    if (flightrec && fr_max_dumps == 0)
+        errors.emplace_back("obs.fr_max_dumps must be > 0 when "
+                            "obs.flightrec is on");
+    return errors;
+}
+
 Observability::Observability(EventQueue &eq, const ObsConfig &cfg)
     : eq_(eq), cfg_(cfg)
 {
-    if (cfg_.trace) {
-        PacketTracer::Config tc;
-        tc.capacity = cfg_.trace_capacity;
-        tc.sample_every = cfg_.trace_sample_every;
-        tracer_ = std::make_unique<PacketTracer>(tc);
-    }
-    if (cfg_.spans) {
+    if (cfg_.trace || cfg_.spans) {
         SpanTracer::Config sc;
-        sc.capacity = cfg_.span_capacity;
-        sc.sample_every = cfg_.span_sample_every;
+        sc.capacity = cfg_.trace_capacity;
+        sc.sample_every = cfg_.trace_sample_every;
         spans_ = std::make_unique<SpanTracer>(sc);
     }
     if (cfg_.flightrec) {

@@ -1,12 +1,13 @@
 /**
  * @file
  * Observability facade: one object bundling the stats registry, the
- * packet tracer, and the periodic probe sampler, owned by
- * ServerSystem when `ServerConfig::obs` enables it.
+ * trace ring, the flight recorder and the periodic probe sampler,
+ * owned by ServerSystem (or FleetSystem) when its `obs` config
+ * enables it.
  *
  * Determinism contract: turning observability on must not change
  * simulation results. The sampler is a read-only CallbackEvent (no
- * RNG draws, no packet mutation), tracer records are read-only
+ * RNG draws, no packet mutation), trace records are read-only
  * observations, and all registry reads happen either lazily at
  * serialization time or inside the sampler — so RunResult stays
  * byte-identical with obs on or off (proved by test_determinism).
@@ -18,22 +19,24 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "obs/registry.hh"
 #include "obs/span.hh"
-#include "obs/trace.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 
 namespace halsim::obs {
 
-/** Per-run observability knobs (part of ServerConfig). */
+/** Per-run observability knobs (part of ServerConfig and
+ *  FleetConfig). */
 struct ObsConfig
 {
     /** Register + periodically sample the component stats tree. */
     bool stats = false;
 
-    /** Record sampled packet lifecycles into the trace ring. */
+    /** Record sampled packet stages into the trace ring. */
     bool trace = false;
 
     /** Probe sampling period. */
@@ -45,17 +48,14 @@ struct ObsConfig
     /** Trace ring capacity in records. */
     std::uint32_t trace_capacity = 1u << 16;
 
-    /** Trace packets whose id is a multiple of this (1 = all). */
+    /** Trace packets/requests whose id is a multiple of this
+     *  (1 = all). Governor, health and failover marks are never
+     *  sampled out. */
     std::uint64_t trace_sample_every = 64;
 
-    /** Record sampled request-scoped spans into the span ring. */
+    /** Record request and control spans into the trace ring (and
+     *  report RunResult::trace_spans). */
     bool spans = false;
-
-    /** Span ring capacity in records. */
-    std::uint32_t span_capacity = 1u << 16;
-
-    /** Trace requests whose id is a multiple of this (1 = all). */
-    std::uint64_t span_sample_every = 16;
 
     /** Run the always-on flight recorder (black-box capture). */
     bool flightrec = false;
@@ -80,6 +80,10 @@ struct ObsConfig
     {
         return stats || trace || spans || flightrec;
     }
+
+    /** Every violated constraint, each message naming its field
+     *  (empty when valid or disabled). */
+    std::vector<std::string> validate() const;
 };
 
 class Observability
@@ -96,11 +100,7 @@ class Observability
     StatsRegistry &registry() { return reg_; }
     const StatsRegistry &registry() const { return reg_; }
 
-    /** Null unless cfg.trace. */
-    PacketTracer *tracer() { return tracer_.get(); }
-    const PacketTracer *tracer() const { return tracer_.get(); }
-
-    /** Null unless cfg.spans. */
+    /** The one trace ring: null unless cfg.trace or cfg.spans. */
     SpanTracer *spans() { return spans_.get(); }
     const SpanTracer *spans() const { return spans_.get(); }
 
@@ -130,7 +130,6 @@ class Observability
     EventQueue &eq_;
     ObsConfig cfg_;
     StatsRegistry reg_;
-    std::unique_ptr<PacketTracer> tracer_;
     std::unique_ptr<SpanTracer> spans_;
     std::unique_ptr<FlightRecorder> flightRec_;
     CallbackEvent sampleEvent_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/trace.hh"
+#include "obs/span.hh"
 
 namespace halsim::obs {
 
@@ -70,7 +70,7 @@ SloMonitor::finishWindow()
 }
 
 SloAttribution
-attributeTail(const PacketTracer &tracer, Tick target_ticks)
+attributeTail(const SpanTracer &tracer, Tick target_ticks)
 {
     // Reconstruct per-packet stage spans from whatever the ring
     // retained. std::map keeps the walk deterministic (halint W003
@@ -85,34 +85,34 @@ attributeTail(const PacketTracer &tracer, Tick target_ticks)
     std::map<std::uint64_t, Span> spans;
 
     for (std::size_t i = 0; i < tracer.size(); ++i) {
-        const TraceEvent &e = tracer.at(i);
-        Span &s = spans[e.pkt];
-        switch (e.point) {
-          case TracePoint::Ingress:
+        const SpanEvent &e = tracer.at(i);
+        Span &s = spans[e.id];
+        switch (e.kind) {
+          case SpanKind::Ingress:
             if (!s.has_ingress) {
                 s.ingress = e.tick;
                 s.has_ingress = true;
             }
             break;
-          case TracePoint::RingEnqueue:
+          case SpanKind::RingEnqueue:
             if (!s.has_enq) {
                 s.enq = e.tick;
                 s.has_enq = true;
             }
             break;
-          case TracePoint::ServiceStart:
+          case SpanKind::ServiceStart:
             if (!s.has_start) {
                 s.start = e.tick;
                 s.has_start = true;
             }
             break;
-          case TracePoint::ServiceEnd:
+          case SpanKind::ServiceEnd:
             // Last end wins: a pipelined second stage extends the
             // service span.
             s.end = e.tick;
             s.has_end = true;
             break;
-          case TracePoint::Egress:
+          case SpanKind::Egress:
             if (!s.has_egress) {
                 s.egress = e.tick;
                 s.has_egress = true;

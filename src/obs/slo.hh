@@ -3,7 +3,7 @@
  * SLO monitor: deterministic rolling-window latency-quantile tracking
  * against a configurable p99 target (the SLO analysis behind the
  * paper's Table 2), plus tail-sample attribution to the dominant
- * queueing stage from PacketTracer lifecycle records.
+ * queueing stage from the trace ring's packet-stage records.
  *
  * The monitor tiles the measurement window into fixed tumbling epochs
  * and keeps ONE preallocated fixed-bin histogram that is closed and
@@ -30,7 +30,7 @@
 
 namespace halsim::obs {
 
-class PacketTracer;
+class SpanTracer;
 
 /** Per-run SLO knobs (part of ServerConfig, independent of
  *  ObsConfig so RunResult SLO fields exist with obs off). */
@@ -62,12 +62,13 @@ struct SloAttribution
 };
 
 /**
- * Walk the tracer's retained records, reconstruct per-packet stage
- * spans, and attribute each packet whose in-server span exceeds
+ * Walk the ring's retained packet-stage records (other kinds never
+ * complete a span), reconstruct per-packet stage spans, and attribute each
+ * packet whose in-server span exceeds
  * @p target_ticks to its slowest stage. Serialization-time only
  * (allocates); deterministic for a given ring content.
  */
-SloAttribution attributeTail(const PacketTracer &tracer,
+SloAttribution attributeTail(const SpanTracer &tracer,
                              Tick target_ticks);
 
 class SloMonitor

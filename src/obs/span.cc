@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/registry.hh"
-#include "obs/trace.hh"
 
 namespace halsim::obs {
 
@@ -39,8 +38,20 @@ spanKindName(SpanKind k)
         return "shed";
       case SpanKind::Drop:
         return "drop";
-      case SpanKind::Stage:
-        return "stage";
+      case SpanKind::Ingress:
+        return "ingress";
+      case SpanKind::EswitchVerdict:
+        return "eswitch_verdict";
+      case SpanKind::RingEnqueue:
+        return "ring_enqueue";
+      case SpanKind::ServiceStart:
+        return "service_start";
+      case SpanKind::ServiceEnd:
+        return "service_end";
+      case SpanKind::Merge:
+        return "merge";
+      case SpanKind::Egress:
+        return "egress";
     }
     return "?";
 }
@@ -79,51 +90,48 @@ writeTs(std::ostream &os, Tick t)
 
 } // namespace
 
-SpanTracer::SpanTracer(Config cfg)
-    : sampleEvery_(std::max<std::uint64_t>(cfg.sample_every, 1))
+SpanRing::SpanRing(std::uint32_t capacity)
+    : ring_(std::max<std::uint32_t>(capacity, 1))
 {
-    ring_.resize(std::max<std::uint32_t>(cfg.capacity, 1));
 }
 
 const SpanEvent &
-SpanTracer::at(std::size_t i) const
+SpanRing::at(std::size_t i) const
 {
     assert(i < size());
-    const std::uint64_t oldest = overwritten();
-    return ring_[(oldest + i) % ring_.size()];
+    return ring_[(overwritten() + i) % ring_.size()];
 }
 
 void
-SpanTracer::setLaneName(std::uint8_t lane, const std::string &name)
+SpanRing::setLaneName(std::uint8_t lane, const std::string &name)
 {
     assert(lane < kMaxLanes);
     laneNames_[lane] = name;
 }
 
 const std::string &
-SpanTracer::laneName(std::uint8_t lane) const
+SpanRing::laneName(std::uint8_t lane) const
 {
     assert(lane < kMaxLanes);
     return laneNames_[lane];
 }
 
 void
-SpanTracer::clear()
+SpanRing::writeLine(std::ostream &os, const SpanEvent &e) const
 {
-    recorded_ = 0;
+    os << e.tick << " id=" << e.id << " " << spanKindName(e.kind)
+       << " ph=" << spanPhaseName(e.phase) << " lane=";
+    if (!laneNames_[e.lane].empty())
+        os << laneNames_[e.lane];
+    else
+        os << static_cast<unsigned>(e.lane);
+    os << " a=" << e.a << " b=" << e.b;
 }
 
-void
-SpanTracer::bridgeStages(const PacketTracer &tracer, std::uint8_t lane)
+SpanTracer::SpanTracer(Config cfg)
+    : SpanRing(cfg.capacity),
+      sampleEvery_(std::max<std::uint64_t>(cfg.sample_every, 1))
 {
-    const std::size_t n = tracer.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &e = tracer.at(i);
-        if (!wants(e.pkt))
-            continue;
-        record(e.tick, e.pkt, SpanKind::Stage, SpanPhase::Instant, lane,
-               static_cast<std::uint32_t>(e.point), e.arg);
-    }
 }
 
 void
@@ -131,14 +139,8 @@ SpanTracer::writeText(std::ostream &os) const
 {
     const std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) {
-        const SpanEvent &e = at(i);
-        os << e.tick << " id=" << e.id << " " << spanKindName(e.kind)
-           << " ph=" << spanPhaseName(e.phase) << " lane=";
-        if (!laneNames_[e.lane].empty())
-            os << laneNames_[e.lane];
-        else
-            os << static_cast<unsigned>(e.lane);
-        os << " a=" << e.a << " b=" << e.b << "\n";
+        writeLine(os, at(i));
+        os << "\n";
     }
 }
 
@@ -148,14 +150,16 @@ SpanTracer::writeChromeEvents(std::ostream &os, int pid,
 {
     // Per-lane thread_name metadata so the viewer labels rows.
     for (std::size_t lane = 0; lane < kMaxLanes; ++lane) {
-        if (laneNames_[lane].empty())
+        const std::string &name =
+            laneName(static_cast<std::uint8_t>(lane));
+        if (name.empty())
             continue;
         if (!first)
             os << ",";
         first = false;
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
            << ",\"tid\":" << lane << ",\"args\":{\"name\":\""
-           << jsonEscape(laneNames_[lane]) << "\"}}";
+           << jsonEscape(name) << "\"}}";
     }
 
     const std::size_t n = size();
@@ -267,9 +271,8 @@ frTriggerName(FrTrigger t)
 }
 
 FlightRecorder::FlightRecorder(EventQueue &eq, Config cfg)
-    : eq_(eq), cfg_(cfg)
+    : eq_(eq), cfg_(cfg), ring_(cfg.capacity)
 {
-    ring_.resize(std::max<std::uint32_t>(cfg_.capacity, 1));
     // Dump slots are pre-constructed so trigger() never allocates.
     dumps_.resize(std::max<std::uint32_t>(cfg_.max_dumps, 1));
     flushEvent_.setCallback([this] { onFlush(); });
@@ -297,16 +300,9 @@ FlightRecorder::triggersTotal() const
 }
 
 void
-FlightRecorder::setLaneName(std::uint8_t lane, const std::string &name)
-{
-    assert(lane < kMaxLanes);
-    laneNames_[lane] = name;
-}
-
-void
 FlightRecorder::clear()
 {
-    recorded_ = 0;
+    ring_.clear();
     ndumps_ = 0;
     dumpsDropped_ = 0;
     triggerCounts_.fill(0);
@@ -381,21 +377,17 @@ FlightRecorder::snapshot(Dump &d, Tick end)
     d.window_end = end;
     d.truncated = false;
     d.events.clear();
-    const std::size_t n =
-        recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_)
-                                 : ring_.size();
-    const std::uint64_t oldest =
-        recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
+    const std::size_t n = ring_.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const SpanEvent &e = ring_[(oldest + i) % ring_.size()];
+        const SpanEvent &e = ring_.at(i);
         if (e.tick < d.window_begin || e.tick > d.window_end)
             continue;
         d.events.push_back(e);
     }
     // The window's head was already overwritten if the oldest
     // retained record postdates it.
-    if (oldest > 0 && n > 0 &&
-        ring_[oldest % ring_.size()].tick > d.window_begin)
+    if (ring_.overwritten() > 0 && n > 0 &&
+        ring_.at(0).tick > d.window_begin)
         d.truncated = true;
     d.finalized = true;
 }
@@ -412,14 +404,9 @@ FlightRecorder::writeText(std::ostream &os) const
            << d.window_begin << "," << d.window_end
            << "] truncated=" << (d.truncated ? 1 : 0) << "\n";
         for (const SpanEvent &e : d.events) {
-            os << "  " << e.tick << " id=" << e.id << " "
-               << spanKindName(e.kind) << " ph=" << spanPhaseName(e.phase)
-               << " lane=";
-            if (!laneNames_[e.lane].empty())
-                os << laneNames_[e.lane];
-            else
-                os << static_cast<unsigned>(e.lane);
-            os << " a=" << e.a << " b=" << e.b << "\n";
+            os << "  ";
+            ring_.writeLine(os, e);
+            os << "\n";
         }
     }
 }
@@ -450,8 +437,9 @@ FlightRecorder::writeJson(std::ostream &os) const
                << ",\"kind\":\"" << spanKindName(e.kind)
                << "\",\"phase\":\"" << spanPhaseName(e.phase)
                << "\",\"lane\":";
-            if (!laneNames_[e.lane].empty())
-                os << "\"" << jsonEscape(laneNames_[e.lane]) << "\"";
+            const std::string &lane = ring_.laneName(e.lane);
+            if (!lane.empty())
+                os << "\"" << jsonEscape(lane) << "\"";
             else
                 os << static_cast<unsigned>(e.lane);
             os << ",\"a\":" << e.a << ",\"b\":" << e.b << "}";
@@ -465,7 +453,7 @@ FlightRecorder::writeJson(std::ostream &os) const
         os << "\"" << frTriggerName(static_cast<FrTrigger>(k))
            << "\":" << triggerCounts_[k];
     }
-    os << "},\"recorded\":" << recorded_
+    os << "},\"recorded\":" << ring_.recorded()
        << ",\"dumps_dropped\":" << dumpsDropped_ << "}";
 }
 

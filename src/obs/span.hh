@@ -1,33 +1,35 @@
 /**
  * @file
- * Fleet-wide distributed request tracing and the triggered flight
- * recorder.
+ * The one trace model: a fixed-capacity ring of (tick, id, kind,
+ * phase, lane, args) POD records, and the triggered flight recorder
+ * built on the same ring.
  *
- * SpanTracer is the request-scoped sibling of PacketTracer: a
- * fixed-capacity ring of (tick, trace id, span kind, phase, lane,
- * args) POD records. Each sampled request carries one trace id from
- * the fleet client's first transmission through frontend lookup,
- * every retry attempt, backend queue/service, duplicate-suppressed
- * late responses, and failover migration. The hot-path surface is
- * the same two inline calls as PacketTracer — wants() (one modulo)
- * and record() (one indexed POD store) — so instrumented fleet
- * components stay allocation-free in steady state.
+ * SpanTracer holds both packet-stage instants (eSwitch verdict, DPDK
+ * ring enqueue, core service, HLB merge, link ingress/egress, drops;
+ * the id is the packet id) and request/control spans (the fleet
+ * client's request tree from first transmission through frontend
+ * lookup, retries, backend queue/service, duplicate suppression and
+ * failover; governor and health marks). Every record is written live
+ * at the simulated time it describes, so the ring is in tick order.
+ * The hot-path surface is two inline calls — wants() (one modulo)
+ * and record() (one indexed POD store) — so instrumented components
+ * stay allocation-free in steady state.
  *
  * Export is Chrome trace_event JSON: one viewer row (tid) per
- * component lane, async "b"/"e" pairs per span keyed by trace id,
- * instants for point observations, and flow events ("s"/"t"/"f")
- * linking a request's root span to its child spans across lanes.
- * A deterministic line-per-record text form backs the determinism
- * tests.
+ * obs::Lane, async "b"/"e" pairs per span keyed by trace id,
+ * instants for stages and point observations, and flow events
+ * ("s"/"t"/"f") linking a request's root span to its child spans
+ * across lanes. A deterministic line-per-record text form backs the
+ * determinism tests.
  *
- * FlightRecorder is the always-on black box: a compact
- * overwrite-oldest ring fed by the same instrumentation sites
- * (unsampled), plus a set of armed triggers (injected fault, SLO
- * epoch violation, shed-watermark crossing, governor park/unpark
- * storm). When an armed trigger fires, the recorder captures a
- * deterministic "last pre µs before, post µs after" window around
- * the trigger into a bounded dump slot; dumps serialize to JSON and
- * to the text form used by the determinism tests.
+ * FlightRecorder is the always-on black box: an unsampled ring fed
+ * by the request/control instrumentation sites (never by packet
+ * stages), plus a set of armed triggers (injected fault, SLO epoch
+ * violation, shed-watermark crossing, governor park/unpark storm).
+ * When an armed trigger fires, the recorder captures a deterministic
+ * "last pre µs before, post µs after" window around the trigger into
+ * a bounded dump slot; dumps serialize to JSON and to the text form
+ * used by the determinism tests.
  */
 
 #ifndef HALSIM_OBS_SPAN_HH
@@ -45,9 +47,7 @@
 
 namespace halsim::obs {
 
-class PacketTracer;
-
-/** What a span record describes. Begin/End kinds become Chrome async
+/** What a record describes. Begin/End kinds become Chrome async
  *  "b"/"e" pairs; instant kinds become "i" events. */
 enum class SpanKind : std::uint8_t
 {
@@ -67,9 +67,16 @@ enum class SpanKind : std::uint8_t
     GovernorEpoch,   //!< core governor epoch decision (a = action,
                      //!< b = active cores)
     Shed,            //!< admission control shed (a = backend)
-    Drop,            //!< request lost (a = backend, b = reason)
-    Stage,           //!< bridged per-server PacketTracer stage
-                     //!< (a = TracePoint, b = original arg)
+    Drop,            //!< request (a = backend, b = reason) or packet
+                     //!< (a = stage arg: ring occupancy, rule, …) lost
+    // Packet stages (instants, id = packet id, a = stage arg).
+    Ingress,         //!< entered the server on the client link
+    EswitchVerdict,  //!< eSwitch rule matched (a = rule index)
+    RingEnqueue,     //!< accepted into a DPDK ring (a = occupancy)
+    ServiceStart,    //!< poll core began the NF (a = core index)
+    ServiceEnd,      //!< poll core finished the NF (a = core index)
+    Merge,           //!< response rewritten by the traffic merger
+    Egress,          //!< left the server on the return link
 };
 
 const char *spanKindName(SpanKind k);
@@ -81,11 +88,11 @@ enum class SpanPhase : std::uint8_t
     Instant,
 };
 
-/** One span record; POD so ring slots recycle with plain stores. */
+/** One record; POD so ring slots recycle with plain stores. */
 struct SpanEvent
 {
     Tick tick = 0;
-    std::uint64_t id = 0; //!< trace id; 0 = fleet-scope mark
+    std::uint64_t id = 0; //!< trace/packet id; 0 = fleet-scope mark
     SpanKind kind = SpanKind::Request;
     SpanPhase phase = SpanPhase::Instant;
     std::uint8_t lane = 0;
@@ -93,45 +100,46 @@ struct SpanEvent
     std::uint32_t b = 0;
 };
 
-/** Canonical span lanes (Chrome tids). One viewer row per fleet
- *  component; per-server stage bridges use Server. */
-enum class SpanLane : std::uint8_t
+/** Canonical lanes (Chrome tids): one viewer row per server pipeline
+ *  stage or fleet component, shared by every ring so a document never
+ *  maps two components to one row. */
+enum class Lane : std::uint8_t
 {
-    Client = 0,
-    Frontend = 1,
-    Backend = 2,
-    Health = 3,
-    Governor = 4,
-    Server = 5,
+    ClientLink = 0,
+    Eswitch,
+    SnicRing,
+    SnicCore,
+    HostRing,
+    HostCore,
+    Merger,
+    ReturnLink,
+    Slb,
+    Client,
+    Frontend,
+    Backend,
+    Health,
+    Governor,
+    Count,
 };
 
 inline std::uint8_t
-spanLaneId(SpanLane l)
+laneId(Lane l)
 {
     return static_cast<std::uint8_t>(l);
 }
 
-class SpanTracer
+/**
+ * Fixed-capacity overwrite-oldest ring of SpanEvents plus lane names:
+ * the storage shared by SpanTracer and FlightRecorder. On overflow
+ * the oldest record goes (the tail of a run is what a viewer wants);
+ * overwritten() reports how many.
+ */
+class SpanRing
 {
   public:
     static constexpr std::size_t kMaxLanes = 16;
 
-    struct Config
-    {
-        /** Ring capacity in records; oldest overwritten when full. */
-        std::uint32_t capacity = 1u << 16;
-        /** Sample requests whose id is a multiple of this (1 = all). */
-        std::uint64_t sample_every = 16;
-    };
-
-    explicit SpanTracer(Config cfg);
-
-    /** Should this request id be traced? Inline, one modulo. */
-    bool
-    wants(std::uint64_t trace_id) const
-    {
-        return trace_id % sampleEvery_ == 0;
-    }
+    explicit SpanRing(std::uint32_t capacity);
 
     // halint: hotpath
     void
@@ -169,29 +177,52 @@ class SpanTracer
     }
 
     std::size_t capacity() const { return ring_.size(); }
-    std::uint64_t sampleEvery() const { return sampleEvery_; }
 
     /** @p i-th oldest retained record (0 = oldest). */
     const SpanEvent &at(std::size_t i) const;
 
-    /** Name a lane for the Chrome thread_name metadata (setup time). */
+    /** Name a lane for the viewer row / text form (setup time). */
     void setLaneName(std::uint8_t lane, const std::string &name);
     const std::string &laneName(std::uint8_t lane) const;
 
     /** Drop all records, keeping capacity and lane names. */
-    void clear();
+    void clear() { recorded_ = 0; }
 
-    /**
-     * Re-emit a PacketTracer's retained stage records as Stage span
-     * instants on @p lane, keyed by the packet id (which the fleet
-     * layer aligns with the request's trace id). Lets one Chrome
-     * document show the L4 decision and the intra-server stages of
-     * the same sampled request.
-     */
-    void bridgeStages(const PacketTracer &tracer, std::uint8_t lane);
+    /** One "tick id=… kind ph=… lane=… a=… b=…" line, no newline. */
+    void writeLine(std::ostream &os, const SpanEvent &e) const;
 
-    /** Deterministic text: one "tick id kind phase lane a b" per
-     *  line in record order. */
+  private:
+    std::vector<SpanEvent> ring_;
+    std::array<std::string, kMaxLanes> laneNames_;
+    std::uint64_t recorded_ = 0;
+};
+
+static_assert(static_cast<std::size_t>(Lane::Count) <=
+                  SpanRing::kMaxLanes,
+              "every Lane must fit the ring's lane-name table");
+
+class SpanTracer : public SpanRing
+{
+  public:
+    struct Config
+    {
+        /** Ring capacity in records; oldest overwritten when full. */
+        std::uint32_t capacity = 1u << 16;
+        /** Sample ids that are a multiple of this (1 = all). */
+        std::uint64_t sample_every = 64;
+    };
+
+    explicit SpanTracer(Config cfg);
+
+    /** Should this packet/request id be traced? Inline, one modulo. */
+    bool
+    wants(std::uint64_t id) const
+    {
+        return id % sampleEvery_ == 0;
+    }
+
+    /** Deterministic text: one writeLine() per record, in record
+     *  order. */
     void writeText(std::ostream &os) const;
 
     /**
@@ -211,10 +242,7 @@ class SpanTracer
     void writeChromeJson(std::ostream &os, int pid = 0) const;
 
   private:
-    std::vector<SpanEvent> ring_;
-    std::array<std::string, kMaxLanes> laneNames_;
-    std::uint64_t recorded_ = 0;
-    std::uint64_t sampleEvery_ = 16;
+    std::uint64_t sampleEvery_ = 64;
 };
 
 /** Flight-recorder trigger sources; bit positions in the armed
@@ -240,8 +268,6 @@ frTriggerBit(FrTrigger t)
 class FlightRecorder
 {
   public:
-    static constexpr std::size_t kMaxLanes = SpanTracer::kMaxLanes;
-
     struct Config
     {
         /** Ring capacity in records; oldest overwritten when full. */
@@ -270,15 +296,7 @@ class FlightRecorder
     record(Tick t, std::uint64_t id, SpanKind k, SpanPhase ph,
            std::uint8_t lane, std::uint32_t a = 0, std::uint32_t b = 0)
     {
-        SpanEvent &e = ring_[recorded_ % ring_.size()];
-        e.tick = t;
-        e.id = id;
-        e.kind = k;
-        e.phase = ph;
-        e.lane = lane;
-        e.a = a;
-        e.b = b;
-        ++recorded_;
+        ring_.record(t, id, k, ph, lane, a, b);
     }
 
     /**
@@ -292,13 +310,17 @@ class FlightRecorder
     /** Snapshot any still-pending dumps now (end of run). */
     void finalizePending(Tick now);
 
-    std::uint64_t recorded() const { return recorded_; }
+    std::uint64_t recorded() const { return ring_.recorded(); }
     std::uint64_t triggers(FrTrigger t) const;
     std::uint64_t triggersTotal() const;
     std::uint64_t dumps() const { return ndumps_; }
     std::uint64_t dumpsDropped() const { return dumpsDropped_; }
 
-    void setLaneName(std::uint8_t lane, const std::string &name);
+    void
+    setLaneName(std::uint8_t lane, const std::string &name)
+    {
+        ring_.setLaneName(lane, name);
+    }
 
     /** Reset ring, dumps, and counters (measure-window start). */
     void clear();
@@ -327,9 +349,7 @@ class FlightRecorder
 
     EventQueue &eq_;
     Config cfg_;
-    std::vector<SpanEvent> ring_;
-    std::array<std::string, kMaxLanes> laneNames_;
-    std::uint64_t recorded_ = 0;
+    SpanRing ring_;
     std::vector<Dump> dumps_;
     std::uint32_t ndumps_ = 0;
     std::uint64_t dumpsDropped_ = 0;

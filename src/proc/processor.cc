@@ -188,7 +188,7 @@ PollCore::startNext()
     busyTime_.set(1.0, eq_.now());
     busyMono_.set(1.0, eq_.now());
     obs::tracePacket(trace_, eq_.now(), pkt->id,
-                     obs::TracePoint::ServiceStart, traceLane_,
+                     obs::SpanKind::ServiceStart, traceLane_,
                      traceCore_);
 
     // The real function work happens here; timing below is modeled.
@@ -212,7 +212,7 @@ PollCore::finish(net::PacketPtr pkt)
     ++frames_;
     bytes_ += pkt->size();
     obs::tracePacket(trace_, eq_.now(), pkt->id,
-                     obs::TracePoint::ServiceEnd, traceLane_,
+                     obs::SpanKind::ServiceEnd, traceLane_,
                      traceCore_);
     makeResponse(*pkt, cfg_.service_mac, cfg_.service_ip, cfg_.tag);
     tx_.accept(std::move(pkt));
@@ -361,7 +361,7 @@ Accelerator::pump()
         return;
     inSlot_ = true;
     obs::tracePacket(trace_, eq_.now(), pkt->id,
-                     obs::TracePoint::ServiceStart, traceLane_);
+                     obs::SpanKind::ServiceStart, traceLane_);
 
     Tick extra = 0;
     if (!busyPipeline_) {
@@ -417,7 +417,7 @@ Accelerator::finish(net::PacketPtr pkt)
     ++frames_;
     bytes_ += pkt->size();
     obs::tracePacket(trace_, eq_.now(), pkt->id,
-                     obs::TracePoint::ServiceEnd, traceLane_);
+                     obs::SpanKind::ServiceEnd, traceLane_);
     makeResponse(*pkt, cfg_.service_mac, cfg_.service_ip,
                  failed_ ? cfg_.fallback_tag : cfg_.tag);
     tx_.accept(std::move(pkt));
@@ -757,7 +757,7 @@ Processor::accelDegraded() const
 }
 
 void
-Processor::attachObs(obs::StatsRegistry *reg, obs::PacketTracer *tracer,
+Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                      const std::string &prefix, std::uint8_t ring_lane,
                      std::uint8_t core_lane, bool series)
 {

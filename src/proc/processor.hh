@@ -220,10 +220,10 @@ class PollCore
     /** Absolute watts currently charged by this core. */
     double currentW() const { return currentW_; }
 
-    /** Attach the packet tracer: dequeue-to-service records
+    /** Attach the trace ring: dequeue-to-service records
      *  ServiceStart and completion ServiceEnd, arg = @p core index. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t lane, std::uint32_t core)
+    setTrace(obs::SpanTracer *t, std::uint8_t lane, std::uint32_t core)
     {
         trace_ = t;
         traceLane_ = lane;
@@ -266,7 +266,7 @@ class PollCore
     TimeWeighted wattsTw_;    //!< per-core watts mirror (energy ledger)
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
     std::uint32_t traceCore_ = 0;
 
@@ -346,11 +346,11 @@ class Accelerator
     double feedCurrentW() const { return feedTw_.value(); }
     double accelCurrentW() const { return accelTw_.value(); }
 
-    /** Attach the packet tracer: the input queue records
+    /** Attach the trace ring: the input queue records
      *  RingEnqueue/Drop on @p ring_lane; pipeline entry and exit
      *  record ServiceStart/ServiceEnd on @p core_lane. */
     void
-    setTrace(obs::PacketTracer *t, std::uint8_t ring_lane,
+    setTrace(obs::SpanTracer *t, std::uint8_t ring_lane,
              std::uint8_t core_lane)
     {
         queue_.setTrace(t, ring_lane, &eq_);
@@ -385,7 +385,7 @@ class Accelerator
     std::uint64_t bytes_ = 0;
 
     // Observability (null/inert unless attached).
-    obs::PacketTracer *trace_ = nullptr;
+    obs::SpanTracer *trace_ = nullptr;
     std::uint8_t traceLane_ = 0;
 
     void setPowerLevel(double frac);
@@ -490,11 +490,11 @@ class Processor
     /**
      * Register this processor's stats under @p prefix
      * (`prefix.coreN.busy_frac`, `prefix.ringN.occupancy`, ...) and
-     * attach the packet tracer to its rings and cores. Either pointer
+     * attach the trace ring to its rings and cores. Either pointer
      * may be null; the corresponding hooks stay inert. @p series
      * forwards the per-epoch time-series flag to every probe.
      */
-    void attachObs(obs::StatsRegistry *reg, obs::PacketTracer *tracer,
+    void attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
                    const std::string &prefix, std::uint8_t ring_lane,
                    std::uint8_t core_lane, bool series = false);
 

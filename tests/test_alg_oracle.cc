@@ -1,7 +1,8 @@
 /**
  * @file
  * Differential tests of the payload kernels against independent
- * oracles: system zlib for DEFLATE (both directions), a schoolbook
+ * oracles: system zlib for DEFLATE and its zlib/gzip framing (both
+ * directions), a schoolbook
  * square-and-multiply for modexp, and a naive multi-pattern scan for
  * Aho-Corasick.
  */
@@ -20,6 +21,7 @@
 #include "alg/bignum.hh"
 #include "alg/corpus.hh"
 #include "alg/deflate.hh"
+#include "alg/zstream.hh"
 #include "funcs/content.hh"
 #include "sim/rng.hh"
 
@@ -35,12 +37,14 @@ using Bytes = std::vector<std::uint8_t>;
 
 // --- DEFLATE ---------------------------------------------------------
 
-/** Raw-inflate @p stream with zlib; throws on any zlib error. */
+/** Inflate @p stream with zlib; throws on any zlib error.
+ *  @p window_bits picks the framing: -15 raw, 15 zlib, 31 gzip. */
 Bytes
-zlibInflate(const Bytes &stream, std::size_t expect)
+zlibInflate(const Bytes &stream, std::size_t expect,
+            int window_bits = -15)
 {
     z_stream zs{};
-    if (inflateInit2(&zs, -15) != Z_OK)
+    if (inflateInit2(&zs, window_bits) != Z_OK)
         throw std::runtime_error("inflateInit2");
     Bytes out(expect + 64);
     zs.next_in = const_cast<Bytes::value_type *>(stream.data());
@@ -57,12 +61,13 @@ zlibInflate(const Bytes &stream, std::size_t expect)
     return out;
 }
 
-/** Raw-deflate @p data with zlib at @p level. */
+/** Deflate @p data with zlib at @p level, framed as in
+ *  zlibInflate(). */
 Bytes
-zlibDeflate(const Bytes &data, int level)
+zlibDeflate(const Bytes &data, int level, int window_bits = -15)
 {
     z_stream zs{};
-    if (deflateInit2(&zs, level, Z_DEFLATED, -15, 8,
+    if (deflateInit2(&zs, level, Z_DEFLATED, window_bits, 8,
                      Z_DEFAULT_STRATEGY) != Z_OK)
         throw std::runtime_error("deflateInit2");
     Bytes out(deflateBound(&zs, static_cast<uLong>(data.size())));
@@ -228,6 +233,66 @@ TEST(DeflateOracle, InflatesZlibOutputAtEveryLevel)
         for (const Bytes &in : inputs)
             EXPECT_EQ(alg::deflateDecompress(zlibDeflate(in, level)), in)
                 << "level " << level << ", " << in.size() << " bytes";
+}
+
+// --- zlib / gzip framing ----------------------------------------------
+
+namespace {
+
+std::vector<Bytes>
+framingInputs()
+{
+    Rng rng(35);
+    std::vector<Bytes> inputs = {{}, {0x41}, alg::makeSilesiaLike(1458, 11),
+                                 alg::makeSilesiaLike(70000, 12),
+                                 skewedBytes(20000, rng)};
+    Bytes random(5000);
+    for (auto &b : random)
+        b = static_cast<std::uint8_t>(rng.next());
+    inputs.push_back(random);
+    return inputs;
+}
+
+} // namespace
+
+TEST(ZstreamOracle, ZlibInflatesOurZlibAndGzipStreams)
+{
+    // windowBits 15 makes zlib check the RFC 1950 header and Adler-32
+    // trailer; 31 the RFC 1952 header, CRC-32 and ISIZE.
+    for (const Bytes &in : framingInputs()) {
+        for (const DeflateConfig &cfg : {DeflateConfig{}, compConfig()}) {
+            Bytes back;
+            ASSERT_NO_THROW(
+                back = zlibInflate(alg::zlibCompress(in, cfg), in.size(),
+                                   15))
+                << in.size() << " bytes";
+            EXPECT_EQ(back, in);
+            ASSERT_NO_THROW(
+                back = zlibInflate(alg::gzipCompress(in, cfg), in.size(),
+                                   31))
+                << in.size() << " bytes";
+            EXPECT_EQ(back, in);
+        }
+        EXPECT_EQ(alg::adler32(in),
+                  ::adler32(1, in.data(), static_cast<uInt>(in.size())));
+        EXPECT_EQ(alg::crc32(in),
+                  ::crc32(0, in.data(), static_cast<uInt>(in.size())));
+    }
+}
+
+TEST(ZstreamOracle, DecodesZlibStreamsAtEveryLevel)
+{
+    const std::vector<Bytes> inputs = framingInputs();
+    for (int level = 0; level <= 9; ++level) {
+        for (const Bytes &in : inputs) {
+            EXPECT_EQ(alg::zlibDecompress(zlibDeflate(in, level, 15)), in)
+                << "zlib level " << level << ", " << in.size()
+                << " bytes";
+            EXPECT_EQ(alg::gzipDecompress(zlibDeflate(in, level, 31)), in)
+                << "gzip level " << level << ", " << in.size()
+                << " bytes";
+        }
+    }
 }
 
 TEST(DeflateOracle, RejectsOverSubscribedCodeLengthCode)

@@ -9,8 +9,8 @@
  *    must be observationally invisible),
  *  - sweep worker count 1 vs. N (each point owns a private
  *    EventQueue, so parallelism must not perturb anything), and
- *  - observability on vs. off (stats probes and the packet tracer
- *    are read-only observers; §DESIGN.md 10's neutrality contract).
+ *  - observability on vs. off (stats probes and the trace ring are
+ *    read-only observers; §DESIGN.md 10's neutrality contract).
  *
  * The obs artifacts themselves (stats trees, trace text) must also be
  * byte-identical across sweep thread counts.
@@ -353,7 +353,7 @@ TEST(Determinism, SpanArtifactsIdenticalAcrossSweepThreads)
                                  std::to_string(threads);
         SweepOptions opts;
         opts.threads = threads;
-        opts.span_path = base + "_spans.json";
+        opts.trace_path = base + "_trace.json";
         opts.flightrec_path = base + "_fr.json";
         const auto results = fleet::runFleetSweep(points, opts);
         auto slurp = [](const std::string &path) {
@@ -364,7 +364,7 @@ TEST(Determinism, SpanArtifactsIdenticalAcrossSweepThreads)
         };
         return std::make_pair(
             results,
-            std::vector<std::string>{slurp(opts.span_path),
+            std::vector<std::string>{slurp(opts.trace_path),
                                      slurp(opts.flightrec_path)});
     };
 

@@ -2,8 +2,9 @@
  * @file
  * Observability subsystem tests: stats-registry naming and lifecycle,
  * probe sampling, histogram quantile accuracy against an exact
- * reference, trace-ring overflow semantics, serialization smoke
- * checks, and an end-to-end Hal-mode integration run.
+ * reference, trace-ring overflow, sampling and export semantics,
+ * serialization smoke checks, the shared obs validator, and
+ * end-to-end Hal-mode integration runs.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +15,17 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/server.hh"
+#include "fleet/fleet.hh"
 #include "net/traffic.hh"
 #include "obs/energy.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
+#include "obs/hooks.hh"
 #include "obs/slo.hh"
-#include "obs/trace.hh"
 #include "proc/processor.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -249,36 +252,56 @@ TEST(JsonNumber, ShortestRoundTrip)
 
 // --- trace ring ---------------------------------------------------------
 
-TEST(PacketTracer, RingOverflowKeepsNewestRecords)
+namespace {
+
+/** Record packet stage @p k for @p pkt as the live hooks do. */
+void
+stage(SpanTracer &t, Tick tick, std::uint64_t pkt, SpanKind k,
+      std::uint8_t lane, std::uint32_t arg = 0)
 {
-    PacketTracer t(PacketTracer::Config{8, 1});
+    t.record(tick, pkt, k, SpanPhase::Instant, lane, arg);
+}
+
+} // namespace
+
+TEST(SpanTracer, RingOverflowKeepsNewestRecords)
+{
+    SpanTracer t(SpanTracer::Config{8, 1});
     for (std::uint64_t i = 0; i < 20; ++i)
-        t.record(static_cast<Tick>(i) * kUs, i, TracePoint::Ingress, 0);
+        stage(t, static_cast<Tick>(i) * kUs, i, SpanKind::Ingress, 0);
 
     EXPECT_EQ(t.recorded(), 20u);
     EXPECT_EQ(t.overwritten(), 12u);
     EXPECT_EQ(t.size(), 8u);
     EXPECT_EQ(t.capacity(), 8u);
     // Oldest retained record is #12, newest #19.
-    EXPECT_EQ(t.at(0).pkt, 12u);
-    EXPECT_EQ(t.at(7).pkt, 19u);
+    EXPECT_EQ(t.at(0).id, 12u);
+    EXPECT_EQ(t.at(7).id, 19u);
 }
 
-TEST(PacketTracer, SamplingFiltersByPacketId)
+TEST(SpanTracer, SamplingFiltersById)
 {
-    PacketTracer t(PacketTracer::Config{16, 64});
+    SpanTracer t(SpanTracer::Config{16, 64});
     EXPECT_TRUE(t.wants(0));
     EXPECT_FALSE(t.wants(1));
     EXPECT_TRUE(t.wants(128));
     EXPECT_FALSE(t.wants(129));
+
+    // The stage hook applies the sampling test; marks bypass it.
+    tracePacket(&t, 10, 1, SpanKind::Ingress, 0);
+    tracePacket(&t, 20, 128, SpanKind::Ingress, 0);
+    spanMark(&t, nullptr, 30, SpanKind::GovernorEpoch, 13);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.at(0).id, 128u);
+    EXPECT_EQ(t.at(1).kind, SpanKind::GovernorEpoch);
 }
 
-TEST(PacketTracer, ChromeJsonSmoke)
+TEST(SpanTracer, ChromeJsonSmoke)
 {
-    PacketTracer t(PacketTracer::Config{16, 1});
-    t.setLaneName(2, "snic_ring");
-    t.record(1500, 64, TracePoint::RingEnqueue, 2, 3);
-    t.record(2 * kUs, 64, TracePoint::ServiceEnd, 3);
+    SpanTracer t(SpanTracer::Config{16, 1});
+    t.setLaneName(laneId(Lane::SnicRing), "snic_ring");
+    stage(t, 1500, 64, SpanKind::RingEnqueue, laneId(Lane::SnicRing), 3);
+    stage(t, 2 * kUs, 64, SpanKind::ServiceEnd, laneId(Lane::SnicCore));
 
     std::ostringstream os;
     t.writeChromeJson(os, 7);
@@ -286,30 +309,64 @@ TEST(PacketTracer, ChromeJsonSmoke)
     EXPECT_EQ(doc.find("{\"traceEvents\":["), 0u) << doc;
     EXPECT_NE(doc.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(doc.find("\"snic_ring\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
+    EXPECT_NE(doc.find("\"name\":\"ring_enqueue\",\"ph\":\"i\""),
+              std::string::npos)
+        << doc;
     EXPECT_NE(doc.find("\"pid\":7"), std::string::npos);
+    EXPECT_NE(doc.find("\"args\":{\"id\":64,\"a\":3,\"b\":0}"),
+              std::string::npos)
+        << doc;
     // 1500 ticks are a 0.0015 us sub-microsecond remainder (kUs ticks
     // per us), and whole-us ticks print without a fraction.
     EXPECT_NE(doc.find("\"ts\":0.001500"), std::string::npos) << doc;
     EXPECT_NE(doc.find("\"ts\":2,"), std::string::npos) << doc;
 }
 
-TEST(PacketTracer, TextOutputIsDeterministic)
+TEST(SpanTracer, TextOutputIsDeterministic)
 {
-    auto fill = [](PacketTracer &t) {
-        t.record(10, 0, TracePoint::Ingress, 0);
-        t.record(20, 0, TracePoint::RingEnqueue, 2, 5);
-        t.record(30, 0, TracePoint::Drop, 4, 1);
+    auto fill = [](SpanTracer &t) {
+        stage(t, 10, 0, SpanKind::Ingress, 0);
+        stage(t, 20, 0, SpanKind::RingEnqueue, 2, 5);
+        stage(t, 30, 0, SpanKind::Drop, 4, 1);
     };
-    PacketTracer a(PacketTracer::Config{8, 1});
-    PacketTracer b(PacketTracer::Config{8, 1});
+    SpanTracer a(SpanTracer::Config{8, 1});
+    SpanTracer b(SpanTracer::Config{8, 1});
     fill(a);
     fill(b);
     std::ostringstream oa, ob;
     a.writeText(oa);
     b.writeText(ob);
     EXPECT_EQ(oa.str(), ob.str());
-    EXPECT_NE(oa.str().find("ring_enqueue"), std::string::npos);
+    EXPECT_NE(oa.str().find("20 id=0 ring_enqueue ph=i lane=2 a=5 b=0"),
+              std::string::npos)
+        << oa.str();
+}
+
+TEST(SpanTracer, EndWhoseBeginWasOverwrittenDemotesToInstant)
+{
+    // A 3-record ring: the Begin of span 16 falls off, its End stays.
+    SpanTracer t(SpanTracer::Config{3, 1});
+    t.record(1 * kUs, 16, SpanKind::BackendService, SpanPhase::Begin, 2);
+    t.record(2 * kUs, 32, SpanKind::BackendService, SpanPhase::Begin, 2);
+    t.record(3 * kUs, 16, SpanKind::BackendService, SpanPhase::End, 2);
+    t.record(4 * kUs, 32, SpanKind::BackendService, SpanPhase::End, 2);
+    ASSERT_EQ(t.overwritten(), 1u);
+
+    std::ostringstream os;
+    t.writeChromeJson(os);
+    const std::string doc = os.str();
+    // Span 32 keeps its b/e pair; span 16's orphan End is an instant.
+    EXPECT_NE(doc.find("\"ph\":\"b\",\"id\":32"), std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"ph\":\"e\",\"id\":32"), std::string::npos)
+        << doc;
+    EXPECT_EQ(doc.find("\"ph\":\"e\",\"id\":16"), std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"ph\":\"i\",\"s\":\"t\",\"ts\":3,"),
+              std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"args\":{\"id\":16,"), std::string::npos)
+        << doc;
 }
 
 // --- end-to-end: Hal mode with obs on ----------------------------------
@@ -346,9 +403,11 @@ TEST(ObsIntegration, HalRunEmitsStatsTreeAndTrace)
     EXPECT_EQ(reg.counterValue("server.snic.frames"), r.snic_frames);
     EXPECT_GT(reg.counterValue("server.hlb.merger.total"), 0u);
 
-    // The tracer captured sampled packet lifecycles.
-    ASSERT_NE(sys.obs()->tracer(), nullptr);
-    EXPECT_GT(sys.obs()->tracer()->recorded(), 0u);
+    // The ring captured sampled packet stages; with obs.spans off
+    // they are not reported as trace_spans.
+    ASSERT_NE(sys.obs()->spans(), nullptr);
+    EXPECT_GT(sys.obs()->spans()->recorded(), 0u);
+    EXPECT_EQ(r.trace_spans, 0u);
 
     // Serialized forms are non-trivial.
     std::ostringstream json, text;
@@ -544,33 +603,39 @@ TEST(SloMonitor, PartialTrailingEpochIsClosed)
 
 TEST(SloAttribution, PicksSlowestStagePerPacket)
 {
-    PacketTracer t(PacketTracer::Config{64, 1});
+    SpanTracer t(SpanTracer::Config{64, 1});
     const Tick target = 100 * kUs;
 
     // pkt 1: 300 us span dominated by queue wait.
-    t.record(0, 1, TracePoint::Ingress, 0);
-    t.record(10 * kUs, 1, TracePoint::RingEnqueue, 1);
-    t.record(260 * kUs, 1, TracePoint::ServiceStart, 2);
-    t.record(280 * kUs, 1, TracePoint::ServiceEnd, 2);
-    t.record(300 * kUs, 1, TracePoint::Egress, 3);
+    stage(t, 0, 1, SpanKind::Ingress, 0);
+    stage(t, 10 * kUs, 1, SpanKind::RingEnqueue, 1);
+    stage(t, 260 * kUs, 1, SpanKind::ServiceStart, 2);
+    stage(t, 280 * kUs, 1, SpanKind::ServiceEnd, 2);
+    stage(t, 300 * kUs, 1, SpanKind::Egress, 3);
 
     // pkt 2: 250 us span dominated by service time.
-    t.record(0, 2, TracePoint::Ingress, 0);
-    t.record(10 * kUs, 2, TracePoint::RingEnqueue, 1);
-    t.record(20 * kUs, 2, TracePoint::ServiceStart, 2);
-    t.record(240 * kUs, 2, TracePoint::ServiceEnd, 2);
-    t.record(250 * kUs, 2, TracePoint::Egress, 3);
+    stage(t, 0, 2, SpanKind::Ingress, 0);
+    stage(t, 10 * kUs, 2, SpanKind::RingEnqueue, 1);
+    stage(t, 20 * kUs, 2, SpanKind::ServiceStart, 2);
+    stage(t, 240 * kUs, 2, SpanKind::ServiceEnd, 2);
+    stage(t, 250 * kUs, 2, SpanKind::Egress, 3);
 
     // pkt 3: fast packet, inside the target.
-    t.record(0, 3, TracePoint::Ingress, 0);
-    t.record(1 * kUs, 3, TracePoint::RingEnqueue, 1);
-    t.record(2 * kUs, 3, TracePoint::ServiceStart, 2);
-    t.record(3 * kUs, 3, TracePoint::ServiceEnd, 2);
-    t.record(4 * kUs, 3, TracePoint::Egress, 3);
+    stage(t, 0, 3, SpanKind::Ingress, 0);
+    stage(t, 1 * kUs, 3, SpanKind::RingEnqueue, 1);
+    stage(t, 2 * kUs, 3, SpanKind::ServiceStart, 2);
+    stage(t, 3 * kUs, 3, SpanKind::ServiceEnd, 2);
+    stage(t, 4 * kUs, 3, SpanKind::Egress, 3);
 
     // pkt 4: incomplete span (no egress) — skipped.
-    t.record(0, 4, TracePoint::Ingress, 0);
-    t.record(10 * kUs, 4, TracePoint::RingEnqueue, 1);
+    stage(t, 0, 4, SpanKind::Ingress, 0);
+    stage(t, 10 * kUs, 4, SpanKind::RingEnqueue, 1);
+
+    // Governor marks share the ring and are not stages.
+    t.record(50 * kUs, 0, SpanKind::GovernorEpoch, SpanPhase::Instant,
+             laneId(Lane::Governor), 1, 8);
+    t.record(60 * kUs, 2, SpanKind::GovernorEpoch, SpanPhase::Instant,
+             laneId(Lane::Governor), 1, 8);
 
     const SloAttribution a = attributeTail(t, target);
     EXPECT_EQ(a.attributed, 2u);
@@ -698,4 +763,94 @@ TEST(ObsIntegration, SloStatsTreeAndTailAttribution)
                   reg.counterValue("server.slo.tail_service") +
                   reg.counterValue("server.slo.tail_egress"),
               attributed);
+}
+
+TEST(ObsIntegration, StageTracingLeavesFlightRecorderAndMarksAlone)
+{
+    // A governed HAL run with the flight recorder armed: turning stage
+    // tracing on must not change the flight-recorder dumps (stages are
+    // never fed to it), and trace_spans must count the governor marks
+    // plus every stage record, all in the one ring.
+    const auto config = [](bool trace, bool spans) {
+        core::ServerConfig cfg = core::ServerConfig::halDefault();
+        cfg.power.governor.enabled = true;
+        cfg.slo.target_p99_us = 5.0;
+        cfg.obs.trace = trace;
+        cfg.obs.spans = spans;
+        cfg.obs.flightrec = true;
+        cfg.obs.fr_armed = (1u << kFrTriggerKinds) - 1;
+        return cfg;
+    };
+    struct Run
+    {
+        core::RunResult r;
+        std::string fr_json;
+        std::uint64_t recorded = 0, overwritten = 0, marks = 0,
+                      stages = 0;
+    };
+    const auto run = [](const core::ServerConfig &cfg) {
+        EventQueue eq;
+        core::ServerSystem sys(eq, cfg);
+        Run out;
+        out.r = sys.run(std::make_unique<net::ConstantRate>(8.0),
+                        5 * kMs, 30 * kMs);
+        std::ostringstream os;
+        sys.obs()->flightRecorder()->writeJson(os);
+        out.fr_json = os.str();
+        const SpanTracer *ring = sys.obs()->spans();
+        if (ring != nullptr) {
+            out.recorded = ring->recorded();
+            out.overwritten = ring->overwritten();
+            for (std::size_t i = 0; i < ring->size(); ++i) {
+                if (ring->at(i).kind == SpanKind::GovernorEpoch)
+                    ++out.marks;
+                else
+                    ++out.stages;
+            }
+        }
+        return out;
+    };
+
+    const Run marks = run(config(false, true));
+    const Run both = run(config(true, true));
+    const Run stages = run(config(true, false));
+
+    ASSERT_GT(both.r.gov_epochs, 0u);
+    ASSERT_GT(both.r.fr_dumps, 0u);
+    EXPECT_NE(both.fr_json.find("governor_epoch"), std::string::npos);
+    EXPECT_EQ(both.fr_json.find("service_start"), std::string::npos);
+    EXPECT_EQ(marks.fr_json, both.fr_json);
+    EXPECT_EQ(stages.fr_json, both.fr_json);
+
+    ASSERT_EQ(both.overwritten, 0u);
+    EXPECT_GT(both.stages, 0u);
+    EXPECT_EQ(marks.r.trace_spans, marks.marks);
+    EXPECT_EQ(both.marks, marks.marks);
+    EXPECT_EQ(both.stages, stages.recorded);
+    EXPECT_EQ(both.r.trace_spans, both.marks + both.stages);
+    EXPECT_EQ(stages.r.trace_spans, 0u);
+}
+
+TEST(ObsConfig, ServerAndFleetReportTheSameObsMessages)
+{
+    core::ServerConfig server = core::ServerConfig::halDefault();
+    fleet::FleetConfig fleet;
+    for (ObsConfig *o : {&server.obs, &fleet.obs}) {
+        o->spans = true;
+        o->trace_sample_every = 0;
+        o->flightrec = true;
+        o->fr_max_dumps = 0;
+    }
+    const std::vector<std::string> want = server.obs.validate();
+    ASSERT_EQ(want.size(), 2u);
+    EXPECT_NE(want[0].find("obs.trace_sample_every"), std::string::npos);
+    EXPECT_NE(want[1].find("obs.fr_max_dumps"), std::string::npos);
+
+    for (const std::vector<std::string> &got :
+         {server.validate(), fleet.validate()}) {
+        for (const std::string &msg : want) {
+            EXPECT_EQ(std::count(got.begin(), got.end(), msg), 1)
+                << msg;
+        }
+    }
 }

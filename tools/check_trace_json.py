@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a span-trace artifact (--trace-spans) structurally.
+"""Validate a trace artifact (--trace) structurally.
 
 check_bench_json.py gates the artifact's *shape* against the schema;
 this script checks the *semantics* Chrome/Perfetto rely on to render
@@ -17,13 +17,12 @@ the document:
     finish "f" (a late response lands after the request resolved), so
     order beyond "s first" is not enforced.
   * per-phase required keys, and "bp":"e" on every flow finish.
+  * timestamp order — within each pid (one sweep point) "ts" never
+    decreases. Every record, packet stage or span, is written live at
+    the simulated time it describes, so the ring is in tick order.
   * metadata ("M") names restricted to thread_name / process_name /
     run_metadata, with run_metadata carrying the deterministic
     bench/preset/seed/build block.
-
-Global timestamp monotonicity is deliberately NOT checked: bridged
-packet-stage instants are appended after the run and interleave out
-of tick order with the live span records.
 
 Only the Python standard library is used. Exit 0 when every given
 artifact passes, 1 otherwise (one diagnostic per violation).
@@ -70,12 +69,20 @@ def require(ev, keys, where):
     return ok
 
 
-def check_ts(ev, where):
+def check_ts(ev, where, last_ts):
     ts = ev.get("ts")
     if not is_num(ts):
         fail("%s: ts is not a number: %r" % (where, ts))
-    elif ts < 0:
+        return
+    if ts < 0:
         fail("%s: negative ts" % where)
+    pid = ev.get("pid")
+    prev = last_ts.get(pid)
+    if prev is not None and ts < prev:
+        fail("%s: ts %r decreases below %r within pid %r" %
+             (where, ts, prev, pid))
+    else:
+        last_ts[pid] = ts
 
 
 def check_meta(ev, where):
@@ -115,6 +122,8 @@ def check_artifact(path, require_flows):
     open_spans = {}
     # (pid, id) -> set of flow phases seen so far.
     flows = {}
+    # pid -> latest ts seen.
+    last_ts = {}
     saw_begin = saw_flow_start = False
 
     for i, ev in enumerate(events):
@@ -132,14 +141,14 @@ def check_artifact(path, require_flows):
 
         if ph == "i":
             if require(ev, ("name", "ph", "ts", "pid", "tid"), where):
-                check_ts(ev, where)
+                check_ts(ev, where, last_ts)
             continue
 
         if ph in SPAN_PHASES:
             if not require(ev, ("name", "ph", "ts", "pid", "tid",
                                 "id", "cat"), where):
                 continue
-            check_ts(ev, where)
+            check_ts(ev, where, last_ts)
             if ev["cat"] != "span":
                 fail("%s: %r event with cat %r (want \"span\")" %
                      (where, ph, ev["cat"]))
@@ -161,7 +170,7 @@ def check_artifact(path, require_flows):
             if not require(ev, ("name", "ph", "ts", "pid", "tid",
                                 "id", "cat"), where):
                 continue
-            check_ts(ev, where)
+            check_ts(ev, where, last_ts)
             if ev["cat"] != "flow":
                 fail("%s: %r event with cat %r (want \"flow\")" %
                      (where, ph, ev["cat"]))
@@ -183,8 +192,8 @@ def check_artifact(path, require_flows):
 
         fail("%s: unexpected phase %r" % (where, ph))
 
-    # A server-mode span artifact legitimately holds only bridged
-    # packet-stage instants (request spans are a fleet concept), so
+    # A server-mode artifact legitimately holds only packet-stage and
+    # governor instants (request spans are a fleet concept), so
     # presence of begins/flows is opt-in for fleet artifacts.
     if require_flows:
         if not saw_begin:
@@ -198,7 +207,7 @@ def check_artifact(path, require_flows):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("traces", nargs="+",
-                    help="span-trace artifacts (--trace-spans output)")
+                    help="trace artifacts (--trace output)")
     ap.add_argument("--require-flows", action="store_true",
                     help="additionally require span begins and flow "
                          "starts (fleet artifacts: request spans "
