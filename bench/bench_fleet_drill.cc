@@ -191,7 +191,8 @@ main(int argc, char **argv)
     points.push_back(
         drill(stormConfig(0), 40.0, warmup, measure, "storm-noshed"));
 
-    const std::vector<RunResult> results = runFleetSweep(points, opts);
+    const std::vector<RunResult> results =
+        runSweep(sweepJobs(points), opts);
 
     banner("Fleet resilience drill (4 backends behind the L4 "
            "frontend)");

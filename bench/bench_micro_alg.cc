@@ -18,7 +18,6 @@
 #include "alg/corpus.hh"
 #include "alg/deflate.hh"
 #include "alg/fixed_map.hh"
-#include "alg/prefilter.hh"
 #include "alg/sha256.hh"
 #include "coherence/domain.hh"
 #include "funcs/content.hh"
@@ -66,23 +65,6 @@ BM_AhoCountMatches(benchmark::State &state)
                             state.range(0));
 }
 BENCHMARK(BM_AhoCountMatches)->Arg(1458);
-
-void
-BM_PrefilterScan(benchmark::State &state)
-{
-    // The host-style (Hyperscan/FDR-like) literal engine, on the
-    // same inputs as BM_AhoCorasickScan for comparison.
-    const auto rules = alg::makeRuleset(alg::RulesetKind::Teakettle,
-                                        static_cast<std::size_t>(
-                                            state.range(0)));
-    alg::PrefilterMatcher pf(rules);
-    const auto text = alg::makeScanStream(1 << 16, rules, 0.05, 3);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pf.countMatches(text));
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_PrefilterScan)->Arg(100)->Arg(2500);
 
 void
 BM_DeflateCompress(benchmark::State &state)

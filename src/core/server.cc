@@ -138,7 +138,8 @@ modeName(Mode m)
 }
 
 ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
-    : eq_(eq), cfg_(cfg), rng_(cfg.seed ^ 0x5E57E4),
+    : eq_(eq), cfg_(validated(std::move(cfg), "ServerConfig")),
+      rng_(cfg_.seed ^ 0x5E57E4),
       clientMac_(net::MacAddr::fromUint(0x020000000001)),
       snicMac_(net::MacAddr::fromUint(0x020000000002)),
       hostMac_(net::MacAddr::fromUint(0x020000000003)),
@@ -146,19 +147,9 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
       fn_(cfg_.pipeline_second
               ? funcs::makePipeline(cfg_.function, *cfg_.pipeline_second)
               : funcs::makeFunction(cfg_.function)),
-      client_(eq_), extraPower_(eq_)
+      client_(eq_), extraPower_(eq_),
+      window_(eq_, cfg_.obs, cfg_.slo)
 {
-    const std::vector<std::string> errors = cfg_.validate();
-    if (!errors.empty()) {
-        std::string msg = "ServerConfig: ";
-        for (std::size_t i = 0; i < errors.size(); ++i) {
-            if (i)
-                msg += "; ";
-            msg += errors[i];
-        }
-        throw std::invalid_argument(msg);
-    }
-
     const auto &paths = funcs::pathLatencies();
 
     const bool cooperative = cfg_.mode != Mode::HostOnly &&
@@ -416,62 +407,55 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
     // decisions show up core by core in the ledger and totalJ() never
     // double-counts; RunResult reads the component through
     // joulesPrefix(), which sums either layout.
-    auto addCpuAccounts = [this](proc::Processor *p,
-                                 const std::string &name) {
+    obs::EnergyLedger &energy = window_.energy();
+    auto addCpuAccounts = [&energy](proc::Processor *p,
+                                    const std::string &name) {
         if (p->hasGovernor()) {
             for (unsigned i = 0; i < p->coreCount(); ++i) {
-                energy_.addDynamic(
+                energy.addDynamic(
                     name + ".core" + std::to_string(i),
                     [p, i] { return p->coreJoulesNow(i); },
                     [p, i] { return p->coreCurrentW(i); });
             }
         } else {
-            energy_.addDynamic(
+            energy.addDynamic(
                 name, [p] { return p->cpuJoulesNow(); },
                 [p] { return p->cpuCurrentW(); });
         }
     };
     if (snic_ != nullptr) {
         addCpuAccounts(snic_.get(), "snic_cpu");
-        energy_.addDynamic(
+        energy.addDynamic(
             "snic_accel", [this] { return snic_->accelJoulesNow(); },
             [this] { return snic_->accelCurrentW(); });
     }
     if (host_ != nullptr) {
         addCpuAccounts(host_.get(), "host_cpu");
-        energy_.addDynamic(
+        energy.addDynamic(
             "host_accel", [this] { return host_->accelJoulesNow(); },
             [this] { return host_->accelCurrentW(); });
     }
-    energy_.addDynamic(
+    energy.addDynamic(
         "extra", [this] { return extraPower_.joules(); },
         [this] { return extraPower_.currentW(); });
-    energy_.addStatic("static", funcs::kServerBasePowerW);
+    energy.addStatic("static", funcs::kServerBasePowerW);
 
-    // --- SLO monitor (Table 2) ---------------------------------------
-    // Always constructed when configured, independent of cfg_.obs, so
-    // the SLO RunResult fields do not depend on whether stats/tracing
-    // are enabled.
-    if (cfg_.slo.enabled()) {
-        slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo);
-        client_.setSlo(slo_.get());
-    }
-
+    client_.setSlo(window_.slo());
     buildObs();
 }
 
 void
 ServerSystem::buildObs()
 {
-    if (!cfg_.obs.enabled())
+    obs::Observability *o = window_.obs();
+    if (o == nullptr)
         return;
-    obs_ = std::make_unique<obs::Observability>(eq_, cfg_.obs);
 
     // One ring holds both the sampled packet stages (obs.trace) and
     // the governor marks (obs.spans); the flight recorder only ever
     // sees the marks.
     using obs::Lane;
-    obs::SpanTracer *ring = obs_->spans();
+    obs::SpanTracer *ring = o->spans();
     obs::SpanTracer *tr = cfg_.obs.trace ? ring : nullptr;
     if (tr != nullptr) {
         tr->setLaneName(obs::laneId(Lane::ClientLink), "client_link");
@@ -495,7 +479,7 @@ ServerSystem::buildObs()
     }
 
     obs::SpanTracer *sp = cfg_.obs.spans ? ring : nullptr;
-    obs::FlightRecorder *fr = obs_->flightRecorder();
+    obs::FlightRecorder *fr = o->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
         const std::uint8_t govLane = obs::laneId(Lane::Governor);
         if (sp != nullptr)
@@ -507,14 +491,8 @@ ServerSystem::buildObs()
         if (host_ != nullptr && host_->coreGovernor() != nullptr)
             host_->coreGovernor()->attachSpans(sp, fr, govLane);
     }
-    if (fr != nullptr && slo_ != nullptr) {
-        slo_->setOnViolation([this, fr](Tick, double p99_us) {
-            obs::frTrigger(fr, eq_.now(), obs::FrTrigger::Slo,
-                           static_cast<std::uint32_t>(p99_us));
-        });
-    }
 
-    obs::StatsRegistry *reg = cfg_.obs.stats ? &obs_->registry() : nullptr;
+    obs::StatsRegistry *reg = cfg_.obs.stats ? &o->registry() : nullptr;
 
     if (snic_ != nullptr) {
         snic_->attachObs(reg, tr, "server.snic",
@@ -558,26 +536,16 @@ ServerSystem::buildObs()
     // register unconditionally (zero when the governor is off) so
     // every server-rooted stats artifact carries the paths the bench
     // schema requires.
-    reg->fnCounter("server.governor.epochs", [this] {
-        return (snic_ != nullptr ? snic_->governorEpochs() : 0) +
-               (host_ != nullptr ? host_->governorEpochs() : 0);
-    });
-    reg->fnCounter("server.governor.rebalances", [this] {
-        return (snic_ != nullptr ? snic_->governorRebalances() : 0) +
-               (host_ != nullptr ? host_->governorRebalances() : 0);
-    });
-    reg->fnCounter("server.governor.migrations", [this] {
-        return (snic_ != nullptr ? snic_->governorMigrations() : 0) +
-               (host_ != nullptr ? host_->governorMigrations() : 0);
-    });
-    reg->fnCounter("server.governor.parks", [this] {
-        return (snic_ != nullptr ? snic_->governorParks() : 0) +
-               (host_ != nullptr ? host_->governorParks() : 0);
-    });
-    reg->fnCounter("server.governor.unparks", [this] {
-        return (snic_ != nullptr ? snic_->governorUnparks() : 0) +
-               (host_ != nullptr ? host_->governorUnparks() : 0);
-    });
+    reg->fnCounter("server.governor.epochs",
+                   [this] { return governorTotals().epochs; });
+    reg->fnCounter("server.governor.rebalances",
+                   [this] { return governorTotals().rebalances; });
+    reg->fnCounter("server.governor.migrations",
+                   [this] { return governorTotals().migrations; });
+    reg->fnCounter("server.governor.parks",
+                   [this] { return governorTotals().parks; });
+    reg->fnCounter("server.governor.unparks",
+                   [this] { return governorTotals().unparks; });
     reg->fnGauge("server.governor.active_cores", [this] {
         unsigned n = 0;
         if (snic_ != nullptr)
@@ -587,39 +555,7 @@ ServerSystem::buildObs()
         return static_cast<double>(n);
     });
 
-    // Flight-recorder health — unconditional and null-safe like the
-    // governor block above, so the paths the bench schema requires
-    // exist in every server-rooted stats artifact (zero when off).
-    const auto frCount =
-        [this](std::uint64_t (obs::FlightRecorder::*read)() const) {
-            const obs::FlightRecorder *f = obs_->flightRecorder();
-            return f != nullptr ? (f->*read)() : 0;
-        };
-    reg->fnCounter("server.flightrec.recorded", [frCount] {
-        return frCount(&obs::FlightRecorder::recorded);
-    });
-    reg->fnCounter("server.flightrec.dumps", [frCount] {
-        return frCount(&obs::FlightRecorder::dumps);
-    });
-    reg->fnCounter("server.flightrec.dumps_dropped", [frCount] {
-        return frCount(&obs::FlightRecorder::dumpsDropped);
-    });
-    const auto frTriggers = [this](obs::FrTrigger t) {
-        const obs::FlightRecorder *f = obs_->flightRecorder();
-        return f != nullptr ? f->triggers(t) : 0;
-    };
-    reg->fnCounter("server.flightrec.triggers_fault", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Fault);
-    });
-    reg->fnCounter("server.flightrec.triggers_slo", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Slo);
-    });
-    reg->fnCounter("server.flightrec.triggers_shed", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Shed);
-    });
-    reg->fnCounter("server.flightrec.triggers_gov", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Gov);
-    });
+    window_.attachObs(reg, "server.slo", "server.flightrec");
 
     if (eswitch_ != nullptr) {
         reg->fnCounter("server.eswitch.matched",
@@ -688,38 +624,27 @@ ServerSystem::buildObs()
 
     // Per-component energy accounts: lazy joules gauges plus
     // epoch-sampled power probes.
-    energy_.attachObs(reg, "server.energy", cfg_.obs.series);
+    window_.energy().attachObs(reg, "server.energy", cfg_.obs.series);
 
-    if (slo_ != nullptr) {
-        reg->fnCounter("server.slo.epochs",
-                       [this] { return slo_->epochs(); });
-        reg->fnCounter("server.slo.violation_epochs",
-                       [this] { return slo_->violationEpochs(); });
-        reg->fnGauge("server.slo.target_p99_us",
-                     [this] { return slo_->targetP99Us(); });
-        reg->fnGauge("server.slo.worst_epoch_p99_us",
-                     [this] { return slo_->worstEpochP99Us(); });
-
-        if (tr != nullptr) {
-            // Tail attribution recomputes from the trace ring at
-            // serialization time; deterministic for a given ring, and
-            // stats-tree-only (RunResult must not depend on tracing).
-            const Tick target = static_cast<Tick>(
-                cfg_.slo.target_p99_us * static_cast<double>(kUs));
-            auto tail = [tr, target] {
-                return obs::attributeTail(*tr, target);
-            };
-            reg->fnCounter("server.slo.tail_dispatch",
-                           [tail] { return tail().dispatch; });
-            reg->fnCounter("server.slo.tail_queue_wait",
-                           [tail] { return tail().queue_wait; });
-            reg->fnCounter("server.slo.tail_service",
-                           [tail] { return tail().service; });
-            reg->fnCounter("server.slo.tail_egress",
-                           [tail] { return tail().egress; });
-            reg->fnCounter("server.slo.tail_attributed",
-                           [tail] { return tail().attributed; });
-        }
+    if (window_.slo() != nullptr && tr != nullptr) {
+        // Tail attribution recomputes from the trace ring at
+        // serialization time; deterministic for a given ring, and
+        // stats-tree-only (RunResult must not depend on tracing).
+        const Tick target = static_cast<Tick>(
+            cfg_.slo.target_p99_us * static_cast<double>(kUs));
+        auto tail = [tr, target] {
+            return obs::attributeTail(*tr, target);
+        };
+        reg->fnCounter("server.slo.tail_dispatch",
+                       [tail] { return tail().dispatch; });
+        reg->fnCounter("server.slo.tail_queue_wait",
+                       [tail] { return tail().queue_wait; });
+        reg->fnCounter("server.slo.tail_service",
+                       [tail] { return tail().service; });
+        reg->fnCounter("server.slo.tail_egress",
+                       [tail] { return tail().egress; });
+        reg->fnCounter("server.slo.tail_attributed",
+                       [tail] { return tail().attributed; });
     }
 }
 
@@ -734,6 +659,17 @@ ServerSystem::totalDynamicW() const
     if (host_ != nullptr)
         w += host_->averageDynamicW();
     return w;
+}
+
+proc::GovernorCounters
+ServerSystem::governorTotals() const
+{
+    proc::GovernorCounters c;
+    if (snic_ != nullptr)
+        c += snic_->governorCounters();
+    if (host_ != nullptr)
+        c += host_->governorCounters();
+    return c;
 }
 
 std::uint64_t
@@ -796,12 +732,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
             };
             fh.lbp_stalled = [this](bool s) { lbp_->setStalled(s); };
         }
-        fh.on_inject = [this](const fault::FaultEvent &ev) {
-            obs::frTrigger(obs_ != nullptr ? obs_->flightRecorder()
-                                           : nullptr,
-                           eq_.now(), obs::FrTrigger::Fault,
-                           ev.index);
-        };
+        window_.hookFaults(fh);
         injector_ = std::make_unique<fault::FaultInjector>(
             eq_, cfg_.faults, std::move(fh));
         injector_->start(eq_.now());
@@ -836,27 +767,6 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     // Energy/SLO windows open at the same boundary the meters were
     // just reset at (the ledger snapshots extraPower_'s freshly
     // zeroed integral, and the per-core watt mirrors by differencing).
-    energy_.beginWindow(measure_start);
-    if (slo_ != nullptr)
-        slo_->beginWindow(measure_start, end);
-
-    // Observability covers the measurement window only: discard
-    // warmup samples/records and start the probe sampler. All of it
-    // is read-only, so results are identical with obs off.
-    if (obs_ != nullptr) {
-        obs_->registry().resetAll();
-        if (obs_->spans() != nullptr)
-            obs_->spans()->clear();
-        if (obs_->flightRecorder() != nullptr)
-            obs_->flightRecorder()->clear();
-        obs_->startSampling(end);
-    }
-
-    // Windowed throughput sampler for the "Max" columns of Table V.
-    // The window tracks the rate-modulation epoch so bursts are not
-    // averaged away.
-    double max_window = 0.0;
-    const Tick window = std::max<Tick>(resample_epoch, 1 * kMs);
     auto delivered_bytes = [this]() {
         std::uint64_t b = 0;
         if (snic_ != nullptr)
@@ -865,38 +775,19 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
             b += host_->processedBytes();
         return b;
     };
-    std::uint64_t last_bytes_snapshot = delivered_bytes();
-    CallbackEvent sampler;
-    sampler.setCallback([&] {
-        const std::uint64_t b = delivered_bytes();
-        max_window = std::max(max_window,
-                              gbps(b - last_bytes_snapshot, window));
-        last_bytes_snapshot = b;
-        if (eq_.now() + window <= end)
-            eq_.scheduleIn(&sampler, window);
-    });
-    eq_.scheduleIn(&sampler, window);
+    window_.open(measure_start, end, resample_epoch, delivered_bytes);
 
     eq_.runUntil(end);
-    if (sampler.scheduled())
-        eq_.deschedule(&sampler);
-    if (obs_ != nullptr)
-        obs_->stopSampling();
+    // Close the window and read rate/power metrics at its end, then
+    // let in-flight packets drain so their latency still counts (the
+    // SLO monitor also ignores samples after the end, making the drain
+    // doubly excluded).
+    window_.close();
     gen.stop();
 
-    // Read rate/power metrics at the end of the measurement window,
-    // then let in-flight packets drain so their latency still counts.
     RunResult r;
     r.dynamic_power_w = totalDynamicW();
     r.system_power_w = funcs::kServerBasePowerW + r.dynamic_power_w;
-
-    // Close the energy/SLO windows at the same boundary the power
-    // averages were read — before the drain, so drained packets'
-    // draw and latencies stay out of the window (record() also
-    // clamps at windowEnd_, making the drain doubly excluded).
-    energy_.endWindow(end);
-    if (slo_ != nullptr)
-        slo_->finishWindow();
     r.offered_gbps =
         gbps(gen.sentBytes() - sent_bytes_base, end - measure_start);
     r.delivered_gbps = client_.deliveredGbps();
@@ -915,12 +806,8 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
 
     r.sent = gen.sentFrames() - sent_base;
     r.responses = client_.responses();
-    r.max_window_gbps = std::max(max_window, r.delivered_gbps);
     r.p99_us = client_.p99Us();
     r.mean_us = client_.meanUs();
-    r.energy_eff = r.system_power_w > 0.0
-                       ? r.delivered_gbps / r.system_power_w
-                       : 0.0;
     r.snic_frames = (snic_ != nullptr ? snic_->processedFrames() : 0) -
                     snic_base;
     r.host_frames = (host_ != nullptr ? host_->processedFrames() : 0) -
@@ -953,69 +840,29 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     }
     if (lbp_ != nullptr)
         r.ctrl_updates_dropped = lbp_->updatesDropped();
-    r.past_clamps = pastClamps();
 
-    // --- distributed tracing / flight recorder (zero when off) -------
-    if (obs_ != nullptr) {
-        if (cfg_.obs.spans)
-            r.trace_spans = obs_->spans()->recorded();
-        if (obs::FlightRecorder *f = obs_->flightRecorder();
-            f != nullptr) {
-            // The drain already ran any scheduled flush; this only
-            // closes dumps whose post window outlived the run.
-            f->finalizePending(eq_.now());
-            r.fr_dumps = f->dumps();
-            r.fr_trigger_fault = f->triggers(obs::FrTrigger::Fault);
-            r.fr_trigger_slo = f->triggers(obs::FrTrigger::Slo);
-            r.fr_trigger_shed = f->triggers(obs::FrTrigger::Shed);
-            r.fr_trigger_gov = f->triggers(obs::FrTrigger::Gov);
-        }
-    }
+    window_.fill(r);
 
     // --- core-scaling governor (zero when unarmed) -------------------
-    r.gov_epochs = (snic_ != nullptr ? snic_->governorEpochs() : 0) +
-                   (host_ != nullptr ? host_->governorEpochs() : 0);
-    r.gov_rebalances =
-        (snic_ != nullptr ? snic_->governorRebalances() : 0) +
-        (host_ != nullptr ? host_->governorRebalances() : 0);
-    r.gov_migrations =
-        (snic_ != nullptr ? snic_->governorMigrations() : 0) +
-        (host_ != nullptr ? host_->governorMigrations() : 0);
-    r.gov_parks = (snic_ != nullptr ? snic_->governorParks() : 0) +
-                  (host_ != nullptr ? host_->governorParks() : 0);
-    r.gov_unparks = (snic_ != nullptr ? snic_->governorUnparks() : 0) +
-                    (host_ != nullptr ? host_->governorUnparks() : 0);
-    r.gov_min_active_cores =
-        (snic_ != nullptr ? snic_->governorMinActive() : 0) +
-        (host_ != nullptr ? host_->governorMinActive() : 0);
-    r.gov_max_active_cores =
-        (snic_ != nullptr ? snic_->governorMaxActive() : 0) +
-        (host_ != nullptr ? host_->governorMaxActive() : 0);
+    const proc::GovernorCounters gov = governorTotals();
+    r.gov_epochs = gov.epochs;
+    r.gov_rebalances = gov.rebalances;
+    r.gov_migrations = gov.migrations;
+    r.gov_parks = gov.parks;
+    r.gov_unparks = gov.unparks;
+    r.gov_min_active_cores = gov.min_active;
+    r.gov_max_active_cores = gov.max_active;
 
     // --- energy breakdown (window fixed above, pre-drain) ------------
     // joulesPrefix sums one aggregate account or the governor-armed
     // per-core sub-accounts, whichever layout this run registered.
-    r.energy_snic_cpu_j = energy_.joulesPrefix("snic_cpu");
-    r.energy_snic_accel_j = energy_.joules("snic_accel");
-    r.energy_host_cpu_j = energy_.joulesPrefix("host_cpu");
-    r.energy_host_accel_j = energy_.joules("host_accel");
-    r.energy_extra_j = energy_.joules("extra");
-    r.energy_static_j = energy_.joules("static");
-    r.energy_total_j = energy_.totalJ();
-    r.j_per_request = r.responses > 0
-                          ? r.energy_total_j /
-                                static_cast<double>(r.responses)
-                          : 0.0;
-    const double window_gb =
-        r.delivered_gbps * energy_.windowSeconds();
-    r.j_per_gb = window_gb > 0.0 ? r.energy_total_j / window_gb : 0.0;
-
-    if (slo_ != nullptr) {
-        r.slo_target_p99_us = slo_->targetP99Us();
-        r.slo_worst_p99_us = slo_->worstEpochP99Us();
-        r.slo_epochs = slo_->epochs();
-        r.slo_violation_epochs = slo_->violationEpochs();
-    }
+    const obs::EnergyLedger &energy = window_.energy();
+    r.energy_snic_cpu_j = energy.joulesPrefix("snic_cpu");
+    r.energy_snic_accel_j = energy.joules("snic_accel");
+    r.energy_host_cpu_j = energy.joulesPrefix("host_cpu");
+    r.energy_host_accel_j = energy.joules("host_accel");
+    r.energy_extra_j = energy.joules("extra");
+    r.energy_static_j = energy.joules("static");
 
     if (monitor_ != nullptr)
         monitor_->stop();

@@ -32,6 +32,7 @@
 #include "core/lbp.hh"
 #include "core/slb.hh"
 #include "core/watchdog.hh"
+#include "core/window.hh"
 #include "fault/fault.hh"
 #include "funcs/calibration.hh"
 #include "funcs/registry.hh"
@@ -39,9 +40,7 @@
 #include "net/link.hh"
 #include "net/traffic.hh"
 #include "nic/eswitch.hh"
-#include "obs/energy.hh"
 #include "obs/obs.hh"
-#include "obs/slo.hh"
 #include "proc/processor.hh"
 #include "sim/event_queue.hh"
 
@@ -319,8 +318,8 @@ class ServerSystem
     net::Client &client() { return client_; }
 
     /** Null unless cfg.obs enabled stats or tracing. */
-    obs::Observability *obs() { return obs_.get(); }
-    const obs::Observability *obs() const { return obs_.get(); }
+    obs::Observability *obs() { return window_.obs(); }
+    const obs::Observability *obs() const { return window_.obs(); }
 
     /** Paper addressing: the identity clients talk to. */
     net::Ipv4Addr snicIp() const { return snicIp_; }
@@ -337,6 +336,8 @@ class ServerSystem
   private:
     double totalDynamicW() const;
     std::uint64_t totalDrops() const;
+    /** Governor counters summed over both processors. */
+    proc::GovernorCounters governorTotals() const;
 
     /** Build the obs facade, register the stats tree, attach tracer
      *  hooks (ctor tail; no-op unless cfg.obs enables something). */
@@ -382,15 +383,9 @@ class ServerSystem
     /** SLB balancer cores, the LBP core, and the HLB itself. */
     proc::PowerMeter extraPower_;
 
-    /** Per-component energy accounts over the measurement window
-     *  (always on; pull-based, nothing on the hot path). */
-    obs::EnergyLedger energy_;
-
-    /** SLO violation-window monitor (null unless cfg.slo enabled). */
-    std::unique_ptr<obs::SloMonitor> slo_;
-
-    /** Stats registry + trace ring (null when disabled). */
-    std::unique_ptr<obs::Observability> obs_;
+    /** Energy ledger, SLO monitor and obs facade over the
+     *  measurement window. */
+    MeasurementWindow window_;
 
     net::PacketSink *ingress_ = nullptr;
 };

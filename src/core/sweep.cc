@@ -3,114 +3,222 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "core/config.hh"
 #include "funcs/registry.hh"
 #include "obs/registry.hh"
-#include "obs/report.hh"
 #include "obs/span.hh"
 #include "sim/parallel.hh"
 
 namespace halsim::core {
 
-std::string
-sweepRowJson(const SweepPoint &point, const RunResult &r)
+namespace {
+
+/** Build tag stamped into trace metadata. A constant by design:
+ *  artifacts must be byte-identical across checkouts and rebuilds,
+ *  so no git-describe, hostnames, or timestamps. */
+constexpr const char *kBuildTag = "halsim";
+
+/** Write @p doc and a newline to @p path (a path that cannot be
+ *  opened is reported on stderr). */
+void
+saveDoc(const std::string &path, const std::string &doc)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os) {
+        std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                     path.c_str());
+        return;
+    }
+    os << doc << "\n";
+}
+
+/** The results artifact: {"bench","threads","points":[rows]}. */
+void
+saveResults(const std::string &path, const std::string &bench,
+            unsigned threads, const std::vector<std::string> &rows)
 {
     std::ostringstream os;
-    os << "{\"label\":\"" << obs::jsonEscape(point.label) << "\""
-       << ",\"mode\":\"" << modeName(point.cfg.mode) << "\""
-       << ",\"function\":\"" << funcs::functionName(point.cfg.function)
-       << "\",\"rate_gbps\":"
-       << obs::jsonNumber(point.trace ? 0.0 : point.rate_gbps) << ",";
+    os << "{\"bench\":\"" << obs::jsonEscape(bench)
+       << "\",\"threads\":" << threads << ",\"points\":[";
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        os << (i ? "," : "") << rows[i];
+    os << "]}";
+    saveDoc(path, os.str());
+}
+
+/** The stats and flight-recorder artifacts:
+ *  {"bench","points":[{"label","<key>":{...}}, ...]}. */
+void
+saveLabeled(const std::string &path, const std::string &bench,
+            const char *key, const std::vector<SweepJob> &jobs,
+            const std::vector<std::string> &docs)
+{
+    std::ostringstream os;
+    os << "{\"bench\":\"" << obs::jsonEscape(bench) << "\",\"points\":[";
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        os << (i ? "," : "") << "{\"label\":\""
+           << obs::jsonEscape(jobs[i].label) << "\",\"" << key
+           << "\":" << docs[i] << "}";
+    }
+    os << "]}";
+    saveDoc(path, os.str());
+}
+
+/** The trace artifact: one run_metadata event (bench, the first
+ *  job's mode as preset, its seed, kBuildTag), then every point's
+ *  Chrome events. */
+void
+saveTrace(const std::string &path, const std::string &bench,
+          const std::vector<SweepJob> &jobs,
+          const std::vector<std::string> &events)
+{
+    std::ostringstream os;
+    os << "{\"traceEvents\":[";
+    bool first = jobs.empty();
+    if (!first) {
+        os << "{\"name\":\"run_metadata\",\"ph\":\"M\",\"pid\":0,"
+              "\"tid\":0,\"args\":{\"bench\":\""
+           << obs::jsonEscape(bench) << "\",\"preset\":\""
+           << obs::jsonEscape(jobs[0].mode) << "\",\"seed\":"
+           << jobs[0].seed << ",\"build\":\"" << kBuildTag << "\"}}";
+    }
+    for (const std::string &e : events) {
+        if (e.empty())
+            continue;
+        os << (first ? "" : ",") << e;
+        first = false;
+    }
+    os << "],\"displayTimeUnit\":\"ns\"}";
+    saveDoc(path, os.str());
+}
+
+/** The job that runs @p point on a ServerSystem. */
+SweepJob
+serverJob(const SweepPoint &point)
+{
+    SweepJob job;
+    job.label = point.label;
+    job.mode = modeName(point.cfg.mode);
+    job.function = funcs::functionName(point.cfg.function);
+    job.rate_gbps = point.trace ? 0.0 : point.rate_gbps;
+    job.seed = point.cfg.seed;
+    job.run = [point](const SweepOptions &opts, const KeepObs &keep) {
+        ServerConfig cfg = point.cfg;
+        applyObsFlags(opts, true, cfg.obs, cfg.slo);
+        applyPowerFlags(opts, cfg);
+        std::unique_ptr<net::RateProcess> rate;
+        if (point.make_rate)
+            rate = point.make_rate();
+        else if (point.trace)
+            rate = net::makeTrace(*point.trace);
+        else
+            rate = std::make_unique<net::ConstantRate>(point.rate_gbps);
+        EventQueue eq;
+        ServerSystem sys(eq, cfg);
+        const RunResult r = sys.run(std::move(rate), point.warmup,
+                                    point.measure, point.resample);
+        keep(sys.obs());
+        return r;
+    };
+    return job;
+}
+
+} // namespace
+
+std::string
+sweepRowJson(const SweepJob &job, const RunResult &r)
+{
+    std::ostringstream os;
+    os << "{\"label\":\"" << obs::jsonEscape(job.label) << "\""
+       << ",\"mode\":\"" << job.mode << "\""
+       << ",\"function\":\"" << job.function
+       << "\",\"rate_gbps\":" << obs::jsonNumber(job.rate_gbps) << ",";
     r.toJsonFields(os);
     os << "}";
     return os.str();
 }
 
+void
+applyObsFlags(const SweepOptions &opts, bool stages, obs::ObsConfig &obs,
+              obs::SloConfig &slo)
+{
+    obs.stats = obs.stats || !opts.stats_path.empty();
+    obs.trace = obs.trace || (stages && !opts.trace_path.empty());
+    obs.spans = obs.spans || !opts.trace_path.empty();
+    if (!opts.flightrec_path.empty()) {
+        obs.flightrec = true;
+        if (opts.fr_armed != 0)
+            obs.fr_armed = opts.fr_armed;
+        else if (obs.fr_armed == 0)
+            obs.fr_armed = (1u << obs::kFrTriggerKinds) - 1;
+    }
+    if (opts.slo_p99_us > 0.0 && !slo.enabled())
+        slo.target_p99_us = opts.slo_p99_us;
+}
+
 std::vector<RunResult>
-runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
+runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opts)
 {
     const bool want_stats = !opts.stats_path.empty();
     const bool want_trace = !opts.trace_path.empty();
     const bool want_fr = !opts.flightrec_path.empty();
 
-    std::vector<RunResult> results(points.size());
-    std::vector<std::string> stats(points.size());
-    std::vector<std::string> traces(points.size());
-    std::vector<std::string> frs(points.size());
-    parallelFor(points.size(), opts.threads, [&](std::size_t i) {
-        SweepPoint p = points[i];
-        p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        p.cfg.obs.trace = p.cfg.obs.trace || want_trace;
-        p.cfg.obs.spans = p.cfg.obs.spans || want_trace;
-        if (want_fr) {
-            p.cfg.obs.flightrec = true;
-            if (opts.fr_armed != 0)
-                p.cfg.obs.fr_armed = opts.fr_armed;
-            else if (p.cfg.obs.fr_armed == 0)
-                p.cfg.obs.fr_armed =
-                    (1u << obs::kFrTriggerKinds) - 1;
-        }
-        if (opts.slo_p99_us > 0.0 && !p.cfg.slo.enabled())
-            p.cfg.slo.target_p99_us = opts.slo_p99_us;
-        applyPowerFlags(opts, p.cfg);
-        EventQueue eq;
-        ServerSystem sys(eq, p.cfg);
-        std::unique_ptr<net::RateProcess> rate;
-        if (p.make_rate)
-            rate = p.make_rate();
-        else if (p.trace)
-            rate = net::makeTrace(*p.trace);
-        else
-            rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
-        results[i] =
-            sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        if (want_stats && sys.obs() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->writeStatsJson(os);
-            stats[i] = os.str();
-        }
-        if (want_trace) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->spans()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            traces[i] = os.str();
-        }
-        if (want_fr && sys.obs() != nullptr &&
-            sys.obs()->flightRecorder() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->flightRecorder()->writeJson(os);
-            frs[i] = os.str();
-        }
+    std::vector<RunResult> results(jobs.size());
+    std::vector<std::string> stats(jobs.size());
+    std::vector<std::string> traces(jobs.size());
+    std::vector<std::string> frs(jobs.size());
+    parallelFor(jobs.size(), opts.threads, [&](std::size_t i) {
+        results[i] = jobs[i].run(opts, [&, i](const obs::Observability *o) {
+            if (o == nullptr)
+                return;
+            if (want_stats) {
+                std::ostringstream os;
+                o->writeStatsJson(os);
+                stats[i] = os.str();
+            }
+            if (want_trace) {
+                std::ostringstream os;
+                bool first = true;
+                o->spans()->writeChromeEvents(os, static_cast<int>(i),
+                                              first);
+                traces[i] = os.str();
+            }
+            if (want_fr && o->flightRecorder() != nullptr) {
+                std::ostringstream os;
+                o->flightRecorder()->writeJson(os);
+                frs[i] = os.str();
+            }
+        });
     });
 
-    if (!opts.json_path.empty())
-        writeSweepJson(opts.json_path, opts.bench_name, points, results,
-                       opts.threads);
-    if (want_stats || want_trace || want_fr) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        if (!points.empty()) {
-            rep.setTraceMetadata(modeName(points[0].cfg.mode),
-                                 points[0].cfg.seed);
-        }
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (want_stats)
-                rep.addStats(points[i].label, stats[i]);
-            if (want_trace)
-                rep.addChromeEvents(traces[i]);
-            if (want_fr)
-                rep.addFlightRec(points[i].label, frs[i]);
-        }
-        if (want_stats)
-            rep.saveStatsJson(opts.stats_path);
-        if (want_trace)
-            rep.saveTraceJson(opts.trace_path);
-        if (want_fr)
-            rep.saveFlightRecJson(opts.flightrec_path);
+    if (!opts.json_path.empty()) {
+        std::vector<std::string> rows;
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            rows.push_back(sweepRowJson(jobs[i], results[i]));
+        saveResults(opts.json_path, opts.bench_name, opts.threads, rows);
+    }
+    if (want_stats)
+        saveLabeled(opts.stats_path, opts.bench_name, "stats", jobs, stats);
+    if (want_trace)
+        saveTrace(opts.trace_path, opts.bench_name, jobs, traces);
+    if (want_fr) {
+        saveLabeled(opts.flightrec_path, opts.bench_name, "flightrec",
+                    jobs, frs);
     }
     return results;
+}
+
+std::vector<RunResult>
+runSweep(const std::vector<SweepPoint> &points, const SweepOptions &opts)
+{
+    std::vector<SweepJob> jobs;
+    jobs.reserve(points.size());
+    for (const SweepPoint &p : points)
+        jobs.push_back(serverJob(p));
+    return runSweep(jobs, opts);
 }
 
 void
@@ -344,10 +452,10 @@ writeSweepJson(const std::string &path, const std::string &bench_name,
                const std::vector<SweepPoint> &points,
                const std::vector<RunResult> &results, unsigned threads)
 {
-    obs::SweepReport rep(bench_name, threads);
+    std::vector<std::string> rows;
     for (std::size_t i = 0; i < points.size(); ++i)
-        rep.addRow(sweepRowJson(points[i], results[i]));
-    rep.saveResultsJson(path);
+        rows.push_back(sweepRowJson(serverJob(points[i]), results[i]));
+    saveResults(path, bench_name, threads, rows);
 }
 
 } // namespace halsim::core

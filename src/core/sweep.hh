@@ -1,11 +1,14 @@
 /**
  * @file
- * Parallel sweep harness: run independent (ServerConfig, rate)
- * operating points across cores.
+ * Parallel sweep harness: run independent operating points across
+ * cores.
  *
  * Every paper figure is a sweep of independent points; each point
- * owns a private EventQueue and ServerSystem, so points parallelize
- * perfectly. Results are returned in input order and are bit-identical
+ * owns a private EventQueue and system (a ServerSystem, or a
+ * FleetSystem through fleet::sweepJobs), so points parallelize
+ * perfectly. runSweep() is the one parallel runner for both: it sees
+ * each point as a SweepJob whose run callable builds and runs the
+ * system. Results are returned in input order and are bit-identical
  * to a serial run regardless of thread count (test_determinism holds
  * this property). The harness also standardizes the bench CLI
  * (`--threads N`, `--json PATH`) and writes the machine-readable
@@ -25,6 +28,8 @@
 
 #include "core/server.hh"
 #include "net/traffic.hh"
+#include "obs/obs.hh"
+#include "obs/slo.hh"
 
 namespace halsim::core {
 
@@ -58,9 +63,9 @@ struct SweepOptions
     /** When non-empty, enable stats and write the per-point stats
      *  trees here ({"bench","points":[{"label","stats":{...}}]}). */
     std::string stats_path;
-    /** When non-empty, enable stage and span tracing (obs.trace and
-     *  obs.spans) and write the one Chrome trace_event JSON here (one
-     *  pid per sweep point). */
+    /** When non-empty, enable span tracing (obs.spans, plus the
+     *  packet stages of obs.trace on servers) and write the one
+     *  Chrome trace_event JSON here (one pid per sweep point). */
     std::string trace_path;
     /** When non-empty, enable the flight recorder and write its
      *  dump artifact here ({"bench","points":[{"label",
@@ -153,13 +158,48 @@ void registerPowerFlags(ArgRegistrar &reg, SweepOptions &opts);
 void applyPowerFlags(const SweepOptions &opts, ServerConfig &cfg);
 
 /**
- * Run every point (possibly in parallel) and return results in input
- * order. Writes the JSON artifacts named by opts.json_path /
- * opts.stats_path / opts.trace_path / opts.flightrec_path; all but
- * the first force the ObsConfig flags they need on for every point
- * (--trace: obs.trace and obs.spans). Artifacts are byte-deterministic
- * for a given point list (no wall-clock content).
+ * Force on the obs and SLO switches the artifact options need:
+ * stats for `--stats-out`; spans, plus packet stages when
+ * @p stages, for `--trace`; the flight recorder and its trigger mask
+ * for `--flightrec`; and the `--slo-p99` target for a config without
+ * one of its own.
  */
+void applyObsFlags(const SweepOptions &opts, bool stages,
+                   obs::ObsConfig &obs, obs::SloConfig &slo);
+
+/** Receives a finished point's obs facade (null when obs is off) so
+ *  the runner can copy its artifacts out before the system dies. */
+using KeepObs = std::function<void(const obs::Observability *)>;
+
+/**
+ * One sweep point as the runner sees it, whatever system runs it.
+ * The labeling fields head the point's results row; the first job's
+ * mode and seed also stamp the trace metadata.
+ */
+struct SweepJob
+{
+    std::string label;
+    std::string mode;
+    std::string function;
+    double rate_gbps = 0.0;
+    std::uint64_t seed = 0;
+    /** Build the system with the options' forcing applied, run it,
+     *  and hand its obs facade to the KeepObs. */
+    std::function<RunResult(const SweepOptions &, const KeepObs &)> run;
+};
+
+/**
+ * Run every job (possibly in parallel) and return results in input
+ * order. Writes the JSON artifacts named by opts.json_path /
+ * opts.stats_path / opts.trace_path / opts.flightrec_path.
+ * Artifacts are byte-deterministic for a given job list (no
+ * wall-clock content).
+ */
+std::vector<RunResult> runSweep(const std::vector<SweepJob> &jobs,
+                                const SweepOptions &opts = {});
+
+/** runSweep() with every point run on a ServerSystem (applyObsFlags
+ *  with packet stages, then applyPowerFlags). */
 std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,
                                 const SweepOptions &opts = {});
 
@@ -174,9 +214,9 @@ std::vector<RunResult> runSweep(const std::vector<SweepPoint> &points,
 SweepOptions parseSweepArgs(int argc, char **argv,
                             std::string bench_name);
 
-/** One flat results row: the point's labeling fields (label, mode,
+/** One flat results row: the job's labeling fields (label, mode,
  *  function, rate_gbps) spliced with every RunResult field. */
-std::string sweepRowJson(const SweepPoint &point, const RunResult &r);
+std::string sweepRowJson(const SweepJob &job, const RunResult &r);
 
 /**
  * Write a results artifact: one flat sweepRowJson() row per point

@@ -1,15 +1,11 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "net/traffic.hh"
 #include "obs/registry.hh"
-#include "obs/report.hh"
 #include "obs/span.hh"
-#include "sim/parallel.hh"
 
 namespace halsim::fleet {
 
@@ -92,19 +88,9 @@ FleetConfig::validate() const
 }
 
 FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
-    : eq_(eq), cfg_(std::move(cfg))
+    : eq_(eq), cfg_(core::validated(std::move(cfg), "FleetConfig")),
+      window_(eq_, cfg_.obs, cfg_.slo)
 {
-    const std::vector<std::string> errors = cfg_.validate();
-    if (!errors.empty()) {
-        std::string msg = "FleetConfig: ";
-        for (std::size_t i = 0; i < errors.size(); ++i) {
-            if (i)
-                msg += "; ";
-            msg += errors[i];
-        }
-        throw std::invalid_argument(msg);
-    }
-
     const net::MacAddr clientMac = net::MacAddr::fromUint(0x02000000fe01);
     const net::MacAddr frontMac = net::MacAddr::fromUint(0x02000000fe02);
     const net::Ipv4Addr clientIp(10, 0, 1, 1);
@@ -168,23 +154,20 @@ FleetSystem::FleetSystem(EventQueue &eq, FleetConfig cfg)
     health_->setOnUp([this](unsigned b) { frontend_->onBackendUp(b); });
 
     // --- energy ledger: one account per backend, summing exactly ------
+    obs::EnergyLedger &energy = window_.energy();
     for (unsigned i = 0; i < cfg_.backends; ++i) {
         Backend *b = backends_[i].get();
-        energy_.addDynamic(
+        energy.addDynamic(
             "backend" + std::to_string(i),
             [b] { return b->joulesNow(); },
             [b] { return b->currentW(); });
     }
-    energy_.addStatic("static",
-                      cfg_.backend_static_w *
-                          static_cast<double>(cfg_.backends));
-    energy_.addStatic("frontend", cfg_.frontend_w);
+    energy.addStatic("static",
+                     cfg_.backend_static_w *
+                         static_cast<double>(cfg_.backends));
+    energy.addStatic("frontend", cfg_.frontend_w);
 
-    if (cfg_.slo.enabled()) {
-        slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo);
-        client_->setSlo(slo_.get());
-    }
-
+    client_->setSlo(window_.slo());
     buildObs();
 }
 
@@ -193,14 +176,14 @@ FleetSystem::~FleetSystem() = default;
 void
 FleetSystem::buildObs()
 {
-    if (!cfg_.obs.enabled())
+    obs::Observability *o = window_.obs();
+    if (o == nullptr)
         return;
-    obs_ = std::make_unique<obs::Observability>(eq_, cfg_.obs);
 
     // The fleet has no packet stages: only obs.spans feeds the ring.
     using obs::Lane;
-    obs::SpanTracer *sp = cfg_.obs.spans ? obs_->spans() : nullptr;
-    obs::FlightRecorder *fr = obs_->flightRecorder();
+    obs::SpanTracer *sp = cfg_.obs.spans ? o->spans() : nullptr;
+    obs::FlightRecorder *fr = o->flightRecorder();
     if (sp != nullptr || fr != nullptr) {
         const auto nameLane = [sp, fr](Lane l, const char *name) {
             if (sp != nullptr)
@@ -218,15 +201,8 @@ FleetSystem::buildObs()
             b->attachSpans(sp, fr, obs::laneId(Lane::Backend));
         health_->attachSpans(sp, fr, obs::laneId(Lane::Health));
     }
-    if (fr != nullptr && slo_ != nullptr) {
-        slo_->setOnViolation([this, fr](Tick, double p99_us) {
-            obs::frTrigger(fr, eq_.now(), obs::FrTrigger::Slo,
-                           static_cast<std::uint32_t>(p99_us));
-        });
-    }
 
-    obs::StatsRegistry *reg =
-        cfg_.obs.stats ? &obs_->registry() : nullptr;
+    obs::StatsRegistry *reg = cfg_.obs.stats ? &o->registry() : nullptr;
     if (reg == nullptr)
         return;
 
@@ -253,53 +229,21 @@ FleetSystem::buildObs()
     client_->setAttemptsSink(
         reg->histogram("fleet.client.attempts", 1.0, 1024.0, 16));
 
-    // Span/flight-recorder health. Null-safe reads so the paths the
-    // bench schema requires exist in every stats artifact, reading
-    // zero while spans/flightrec are off.
-    reg->fnCounter("fleet.trace.spans_recorded", [this] {
-        const obs::SpanTracer *t = obs_->spans();
-        return t != nullptr ? t->recorded() : 0;
+    // Span-ring health. Null-safe reads so the paths the bench schema
+    // requires exist in every stats artifact, reading zero while
+    // spans are off.
+    const obs::SpanTracer *ring = o->spans();
+    reg->fnCounter("fleet.trace.spans_recorded", [ring] {
+        return ring != nullptr ? ring->recorded() : 0;
     });
-    reg->fnCounter("fleet.trace.spans_overwritten", [this] {
-        const obs::SpanTracer *t = obs_->spans();
-        return t != nullptr ? t->overwritten() : 0;
+    reg->fnCounter("fleet.trace.spans_overwritten", [ring] {
+        return ring != nullptr ? ring->overwritten() : 0;
     });
-    reg->fnCounter("fleet.trace.spans_retained", [this] {
-        const obs::SpanTracer *t = obs_->spans();
-        return t != nullptr
-                   ? static_cast<std::uint64_t>(t->size())
-                   : 0;
+    reg->fnCounter("fleet.trace.spans_retained", [ring] {
+        return ring != nullptr ? static_cast<std::uint64_t>(ring->size())
+                               : 0;
     });
-    const auto frCount =
-        [this](std::uint64_t (obs::FlightRecorder::*read)() const) {
-            const obs::FlightRecorder *f = obs_->flightRecorder();
-            return f != nullptr ? (f->*read)() : 0;
-        };
-    reg->fnCounter("fleet.flightrec.recorded", [frCount] {
-        return frCount(&obs::FlightRecorder::recorded);
-    });
-    reg->fnCounter("fleet.flightrec.dumps", [frCount] {
-        return frCount(&obs::FlightRecorder::dumps);
-    });
-    reg->fnCounter("fleet.flightrec.dumps_dropped", [frCount] {
-        return frCount(&obs::FlightRecorder::dumpsDropped);
-    });
-    const auto frTriggers = [this](obs::FrTrigger t) {
-        const obs::FlightRecorder *f = obs_->flightRecorder();
-        return f != nullptr ? f->triggers(t) : 0;
-    };
-    reg->fnCounter("fleet.flightrec.triggers_fault", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Fault);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_slo", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Slo);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_shed", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Shed);
-    });
-    reg->fnCounter("fleet.flightrec.triggers_gov", [frTriggers] {
-        return frTriggers(obs::FrTrigger::Gov);
-    });
+    window_.attachObs(reg, "fleet.slo", "fleet.flightrec");
 
     reg->fnCounter("fleet.frontend.dispatched",
                    [this] { return frontend_->dispatched(); });
@@ -357,18 +301,7 @@ FleetSystem::buildObs()
         });
     }
 
-    energy_.attachObs(reg, "fleet.energy", cfg_.obs.series);
-
-    if (slo_ != nullptr) {
-        reg->fnCounter("fleet.slo.epochs",
-                       [this] { return slo_->epochs(); });
-        reg->fnCounter("fleet.slo.violation_epochs",
-                       [this] { return slo_->violationEpochs(); });
-        reg->fnGauge("fleet.slo.target_p99_us",
-                     [this] { return slo_->targetP99Us(); });
-        reg->fnGauge("fleet.slo.worst_epoch_p99_us",
-                     [this] { return slo_->worstEpochP99Us(); });
-    }
+    window_.energy().attachObs(reg, "fleet.energy", cfg_.obs.series);
 }
 
 std::uint64_t
@@ -416,12 +349,7 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
         fh.probe_restore = [this] {
             health_->clearProbeImpairment();
         };
-        fh.on_inject = [this](const fault::FaultEvent &ev) {
-            obs::frTrigger(obs_ != nullptr ? obs_->flightRecorder()
-                                           : nullptr,
-                           eq_.now(), obs::FrTrigger::Fault,
-                           ev.index);
-        };
+        window_.hookFaults(fh);
         injector_ = std::make_unique<fault::FaultInjector>(
             eq_, cfg_.faults, std::move(fh));
         injector_->start(start);
@@ -465,39 +393,13 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     for (std::size_t i = 0; i < backends_.size(); ++i)
         served_base[i] = backends_[i]->served();
 
-    energy_.beginWindow(eq_.now());
-    if (slo_ != nullptr)
-        slo_->beginWindow(measure_start, end);
-    if (obs_ != nullptr) {
-        obs_->registry().resetAll();
-        if (obs_->spans() != nullptr)
-            obs_->spans()->clear();
-        if (obs_->flightRecorder() != nullptr)
-            obs_->flightRecorder()->clear();
-        obs_->startSampling(end);
-    }
-
-    // Windowed delivered-throughput sampler (same contract as the
-    // single-server run: the window tracks the resample epoch).
-    double max_window = 0.0;
-    const Tick window = std::max<Tick>(resample_epoch, 1 * kMs);
-    std::uint64_t last_bytes = client_->deliveredBytes();
-    CallbackEvent sampler;
-    sampler.setCallback([&] {
-        const std::uint64_t b = client_->deliveredBytes();
-        max_window =
-            std::max(max_window, gbps(b - last_bytes, window));
-        last_bytes = b;
-        if (eq_.now() + window <= end)
-            eq_.scheduleIn(&sampler, window);
-    });
-    eq_.scheduleIn(&sampler, window);
+    // Same window as the single server; the max-window sampler counts
+    // bytes delivered to the client.
+    window_.open(measure_start, end, resample_epoch,
+                 [this] { return client_->deliveredBytes(); });
 
     eq_.runUntil(end);
-    if (sampler.scheduled())
-        eq_.deschedule(&sampler);
-    if (obs_ != nullptr)
-        obs_->stopSampling();
+    window_.close();
 
     core::RunResult r;
     double dyn = 0.0;
@@ -508,11 +410,6 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
         cfg_.backend_static_w * static_cast<double>(backends_.size()) +
         cfg_.frontend_w + dyn;
 
-    // Close the energy/SLO windows before the drain so drained
-    // requests' draw and latencies stay out of the window.
-    energy_.endWindow(eq_.now());
-    if (slo_ != nullptr)
-        slo_->finishWindow();
     r.offered_gbps = gbps(client_->sentBytes() - sent_bytes_base,
                           end - measure_start);
     r.delivered_gbps = client_->deliveredGbps();
@@ -537,12 +434,8 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
 
     r.sent = client_->sends() - sends_base;
     r.responses = client_->completions() - completions_base;
-    r.max_window_gbps = std::max(max_window, r.delivered_gbps);
     r.p99_us = client_->p99Us();
     r.mean_us = client_->meanUs();
-    r.energy_eff = r.system_power_w > 0.0
-                       ? r.delivered_gbps / r.system_power_w
-                       : 0.0;
     r.drops = totalLosses() - losses_base;
 
     r.fleet_backends = backends_.size();
@@ -566,23 +459,8 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     }
     r.fleet_backend_served_min = smin;
     r.fleet_backend_served_max = smax;
-    r.past_clamps = eq_.pastClamps();
 
-    if (obs_ != nullptr) {
-        if (cfg_.obs.spans)
-            r.trace_spans = obs_->spans()->recorded();
-        if (obs::FlightRecorder *f = obs_->flightRecorder();
-            f != nullptr) {
-            // The drain ran every scheduled flush; this only closes
-            // dumps whose post window outlived the whole run.
-            f->finalizePending(eq_.now());
-            r.fr_dumps = f->dumps();
-            r.fr_trigger_fault = f->triggers(obs::FrTrigger::Fault);
-            r.fr_trigger_slo = f->triggers(obs::FrTrigger::Slo);
-            r.fr_trigger_shed = f->triggers(obs::FrTrigger::Shed);
-            r.fr_trigger_gov = f->triggers(obs::FrTrigger::Gov);
-        }
-    }
+    window_.fill(r);
 
     if (injector_ != nullptr) {
         r.faults_injected = injector_->injected();
@@ -595,26 +473,13 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     }
 
     // --- energy breakdown (window fixed above, pre-drain) ------------
+    const obs::EnergyLedger &energy = window_.energy();
     double fleet_j = 0.0;
     for (std::size_t i = 0; i < backends_.size(); ++i)
-        fleet_j += energy_.joules("backend" + std::to_string(i));
+        fleet_j += energy.joules("backend" + std::to_string(i));
     r.energy_fleet_j = fleet_j;
-    r.energy_static_j = energy_.joules("static");
-    r.energy_extra_j = energy_.joules("frontend");
-    r.energy_total_j = energy_.totalJ();
-    r.j_per_request = r.responses > 0
-                          ? r.energy_total_j /
-                                static_cast<double>(r.responses)
-                          : 0.0;
-    const double window_gb = r.delivered_gbps * energy_.windowSeconds();
-    r.j_per_gb = window_gb > 0.0 ? r.energy_total_j / window_gb : 0.0;
-
-    if (slo_ != nullptr) {
-        r.slo_target_p99_us = slo_->targetP99Us();
-        r.slo_worst_p99_us = slo_->worstEpochP99Us();
-        r.slo_epochs = slo_->epochs();
-        r.slo_violation_epochs = slo_->violationEpochs();
-    }
+    r.energy_static_j = energy.joules("static");
+    r.energy_extra_j = energy.joules("frontend");
 
     health_->stop();
     client_->stop();
@@ -622,98 +487,35 @@ FleetSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     return r;
 }
 
-std::string
-fleetRowJson(const FleetSweepPoint &point, const core::RunResult &r)
+std::vector<core::SweepJob>
+sweepJobs(const std::vector<FleetSweepPoint> &points)
 {
-    std::ostringstream os;
-    os << "{\"label\":\"" << obs::jsonEscape(point.label) << "\""
-       << ",\"mode\":\"fleet\",\"function\":\"fleet\""
-       << ",\"rate_gbps\":" << obs::jsonNumber(point.rate_gbps) << ",";
-    r.toJsonFields(os);
-    os << "}";
-    return os.str();
-}
-
-std::vector<core::RunResult>
-runFleetSweep(const std::vector<FleetSweepPoint> &points,
-              const core::SweepOptions &opts)
-{
-    const bool want_stats = !opts.stats_path.empty();
-    const bool want_trace = !opts.trace_path.empty();
-    const bool want_fr = !opts.flightrec_path.empty();
-
-    std::vector<core::RunResult> results(points.size());
-    std::vector<std::string> stats(points.size());
-    std::vector<std::string> traces(points.size());
-    std::vector<std::string> frs(points.size());
-    parallelFor(points.size(), opts.threads, [&](std::size_t i) {
-        FleetSweepPoint p = points[i];
-        p.cfg.obs.stats = p.cfg.obs.stats || want_stats;
-        // The fleet records no packet stages: --trace needs only the
-        // request and control spans.
-        p.cfg.obs.spans = p.cfg.obs.spans || want_trace;
-        if (want_fr) {
-            p.cfg.obs.flightrec = true;
-            if (opts.fr_armed != 0)
-                p.cfg.obs.fr_armed = opts.fr_armed;
-            else if (p.cfg.obs.fr_armed == 0)
-                p.cfg.obs.fr_armed =
-                    (1u << obs::kFrTriggerKinds) - 1;
-        }
-        if (opts.slo_p99_us > 0.0 && !p.cfg.slo.enabled())
-            p.cfg.slo.target_p99_us = opts.slo_p99_us;
-        EventQueue eq;
-        FleetSystem sys(eq, p.cfg);
-        auto rate = std::make_unique<net::ConstantRate>(p.rate_gbps);
-        results[i] =
-            sys.run(std::move(rate), p.warmup, p.measure, p.resample);
-        if (want_stats && sys.obs() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->writeStatsJson(os);
-            stats[i] = os.str();
-        }
-        if (want_trace) {
-            std::ostringstream os;
-            bool first = true;
-            sys.obs()->spans()->writeChromeEvents(
-                os, static_cast<int>(i), first);
-            traces[i] = os.str();
-        }
-        if (want_fr && sys.obs() != nullptr &&
-            sys.obs()->flightRecorder() != nullptr) {
-            std::ostringstream os;
-            sys.obs()->flightRecorder()->writeJson(os);
-            frs[i] = os.str();
-        }
-    });
-
-    if (!opts.json_path.empty()) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addRow(fleetRowJson(points[i], results[i]));
-        rep.saveResultsJson(opts.json_path);
+    std::vector<core::SweepJob> jobs;
+    jobs.reserve(points.size());
+    for (const FleetSweepPoint &p : points) {
+        core::SweepJob job;
+        job.label = p.label;
+        job.mode = "fleet";
+        job.function = "fleet";
+        job.rate_gbps = p.rate_gbps;
+        job.seed = p.cfg.seed;
+        job.run = [p](const core::SweepOptions &opts,
+                      const core::KeepObs &keep) {
+            FleetConfig cfg = p.cfg;
+            // The fleet records no packet stages: --trace needs only
+            // the request and control spans.
+            core::applyObsFlags(opts, false, cfg.obs, cfg.slo);
+            EventQueue eq;
+            FleetSystem sys(eq, std::move(cfg));
+            const core::RunResult r =
+                sys.run(std::make_unique<net::ConstantRate>(p.rate_gbps),
+                        p.warmup, p.measure, p.resample);
+            keep(sys.obs());
+            return r;
+        };
+        jobs.push_back(std::move(job));
     }
-    if (want_stats) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addStats(points[i].label, stats[i]);
-        rep.saveStatsJson(opts.stats_path);
-    }
-    if (want_trace) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        if (!points.empty())
-            rep.setTraceMetadata("fleet", points[0].cfg.seed);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addChromeEvents(traces[i]);
-        rep.saveTraceJson(opts.trace_path);
-    }
-    if (want_fr) {
-        obs::SweepReport rep(opts.bench_name, opts.threads);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            rep.addFlightRec(points[i].label, frs[i]);
-        rep.saveFlightRecJson(opts.flightrec_path);
-    }
-    return results;
+    return jobs;
 }
 
 } // namespace halsim::fleet

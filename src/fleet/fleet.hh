@@ -11,13 +11,14 @@
  * bit-identical RunResult regardless of sweep thread count
  * (test_determinism holds this).
  *
- * run() mirrors ServerSystem::run(): warmup, measurement window with
- * energy/SLO windows opened at the boundary, then — unlike the fixed
- * 10 ms server drain — a run **to quiescence**. Every event source is
- * bounded (emission and probing stop at their horizons, retries are
- * budget-bounded), so after the drain the client's attempt ledger
- * reconciles exactly: sends = completions + duplicates + fleet
- * losses, with every loss carrying a distinct drop reason.
+ * run() shares ServerSystem's core::MeasurementWindow: warmup, then
+ * the same measurement window (energy, SLO, obs and max-window
+ * sampler), then — unlike the fixed 10 ms server drain — a run **to
+ * quiescence**. Every event source is bounded (emission and probing
+ * stop at their horizons, retries are budget-bounded), so after the
+ * drain the client's attempt ledger reconciles exactly: sends =
+ * completions + duplicates + fleet losses, with every loss carrying a
+ * distinct drop reason.
  */
 
 #ifndef HALSIM_FLEET_FLEET_HH
@@ -30,13 +31,13 @@
 
 #include "core/server.hh"
 #include "core/sweep.hh"
+#include "core/window.hh"
 #include "fault/fault.hh"
 #include "fleet/backend.hh"
 #include "fleet/client.hh"
 #include "fleet/frontend.hh"
 #include "fleet/health.hh"
 #include "net/link.hh"
-#include "obs/energy.hh"
 #include "obs/obs.hh"
 #include "obs/slo.hh"
 #include "sim/event_queue.hh"
@@ -136,8 +137,8 @@ class FleetSystem
     }
 
     /** Null unless cfg.obs enabled stats or tracing. */
-    obs::Observability *obs() { return obs_.get(); }
-    const obs::Observability *obs() const { return obs_.get(); }
+    obs::Observability *obs() { return window_.obs(); }
+    const obs::Observability *obs() const { return window_.obs(); }
 
   private:
     /** Every loss inside the fleet (backends, links, unroutable). */
@@ -158,11 +159,9 @@ class FleetSystem
 
     std::unique_ptr<fault::FaultInjector> injector_;
 
-    /** Per-backend accounts + static baselines; sums exactly. */
-    obs::EnergyLedger energy_;
-
-    std::unique_ptr<obs::SloMonitor> slo_;
-    std::unique_ptr<obs::Observability> obs_;
+    /** Energy ledger (per-backend accounts + static baselines,
+     *  summing exactly), SLO monitor and obs facade. */
+    core::MeasurementWindow window_;
 };
 
 /** One operating point of a fleet sweep. */
@@ -177,17 +176,13 @@ struct FleetSweepPoint
 };
 
 /**
- * Run every point (possibly in parallel) and return results in input
- * order, reusing the standard sweep harness options/artifacts
- * (bit-identical across thread counts; rows carry mode "fleet").
+ * One core::runSweep() job per point, each running a FleetSystem.
+ * Rows carry mode and function "fleet", which also names the trace
+ * preset; `--trace` turns on spans only (the fleet has no packet
+ * stages).
  */
-std::vector<core::RunResult>
-runFleetSweep(const std::vector<FleetSweepPoint> &points,
-              const core::SweepOptions &opts = {});
-
-/** One flat results row, schema-compatible with core::sweepRowJson. */
-std::string fleetRowJson(const FleetSweepPoint &point,
-                         const core::RunResult &r);
+std::vector<core::SweepJob>
+sweepJobs(const std::vector<FleetSweepPoint> &points);
 
 } // namespace halsim::fleet
 

@@ -184,9 +184,9 @@ CoreGovernor::CoreGovernor(EventQueue &eq, GovernorPolicy cfg,
       rings_(std::move(rings)),
       parked_(cores_.size(), false),
       lastBusySeconds_(cores_.size(), 0.0),
-      active_(static_cast<unsigned>(cores_.size())),
-      minActive_(active_), maxActive_(active_)
+      active_(static_cast<unsigned>(cores_.size()))
 {
+    counts_.min_active = counts_.max_active = active_;
     tickEvent_.setCallback([this] { tick(); });
     eq_.scheduleIn(&tickEvent_, cfg_.epoch);
 }
@@ -200,13 +200,8 @@ CoreGovernor::~CoreGovernor()
 void
 CoreGovernor::resetStats()
 {
-    epochs_ = 0;
-    rebalances_ = 0;
-    migrations_ = 0;
-    parks_ = 0;
-    unparks_ = 0;
-    minActive_ = active_;
-    maxActive_ = active_;
+    counts_ = GovernorCounters{};
+    counts_.min_active = counts_.max_active = active_;
     stormActs_.fill(0);
     stormIdx_ = 0;
 }
@@ -225,7 +220,7 @@ CoreGovernor::park(unsigned idx)
 {
     parked_[idx] = true;
     --active_;
-    ++parks_;
+    ++counts_.parks;
     evacuate(idx);
     cores_[idx]->setParked(true);
 }
@@ -235,7 +230,7 @@ CoreGovernor::unpark(unsigned idx)
 {
     parked_[idx] = false;
     ++active_;
-    ++unparks_;
+    ++counts_.unparks;
     // Wake through the forceWake path: no per-packet wake penalty on
     // scale-up (the governor anticipated the load).
     cores_[idx]->setParked(false);
@@ -260,15 +255,15 @@ CoreGovernor::evacuate(unsigned idx)
             continue;
         table_.assign(g, targets[next]);
         next = (next + 1) % targets.size();
-        ++migrations_;
+        ++counts_.migrations;
     }
 }
 
 void
 CoreGovernor::tick()
 {
-    ++epochs_;
-    const std::uint64_t actsBefore = parks_ + unparks_;
+    ++counts_.epochs;
+    const std::uint64_t actsBefore = counts_.parks + counts_.unparks;
     const double epoch_s =
         static_cast<double>(cfg_.epoch) / static_cast<double>(kSec);
 
@@ -347,22 +342,24 @@ CoreGovernor::tick()
     const std::vector<GroupMove> moves = planRebalance(
         cfg_, load, active, group_core, table_.epochPackets());
     if (!moves.empty()) {
-        ++rebalances_;
-        migrations_ += moves.size();
+        ++counts_.rebalances;
+        counts_.migrations += moves.size();
         for (const GroupMove &m : moves)
             table_.assign(m.group, m.to);
     }
 
     table_.resetEpoch();
-    minActive_ = std::min(minActive_, active_);
-    maxActive_ = std::max(maxActive_, active_);
+    counts_.min_active =
+        std::min<std::uint64_t>(counts_.min_active, active_);
+    counts_.max_active =
+        std::max<std::uint64_t>(counts_.max_active, active_);
 
     // Epoch decision span + park/unpark storm detection (pure
     // observers; no-ops unless spans/flight recorder are attached).
     obs::spanMark(spans_, fr_, eq_.now(), obs::SpanKind::GovernorEpoch,
                   spanLane_, static_cast<std::uint32_t>(action),
                   active_);
-    const std::uint64_t acts = parks_ + unparks_;
+    const std::uint64_t acts = counts_.parks + counts_.unparks;
     stormActs_[stormIdx_] =
         static_cast<std::uint32_t>(acts - actsBefore);
     stormIdx_ = (stormIdx_ + 1) % stormActs_.size();

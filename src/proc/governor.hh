@@ -183,6 +183,36 @@ planRebalance(const GovernorPolicy &cfg, const std::vector<double> &load,
               const std::vector<std::uint64_t> &group_pkts);
 
 /**
+ * One governor's counters since the warmup boundary. A processor
+ * without a governor reports all zeros; ServerSystem sums its two
+ * processors with +=.
+ */
+struct GovernorCounters
+{
+    std::uint64_t epochs = 0;
+    std::uint64_t rebalances = 0; //!< epochs that moved groups
+    std::uint64_t migrations = 0; //!< flow-group moves
+    std::uint64_t parks = 0;
+    std::uint64_t unparks = 0;
+    /** Extremes of the active-core count observed since reset. */
+    std::uint64_t min_active = 0;
+    std::uint64_t max_active = 0;
+
+    GovernorCounters &
+    operator+=(const GovernorCounters &o)
+    {
+        epochs += o.epochs;
+        rebalances += o.rebalances;
+        migrations += o.migrations;
+        parks += o.parks;
+        unparks += o.unparks;
+        min_active += o.min_active;
+        max_active += o.max_active;
+        return *this;
+    }
+};
+
+/**
  * The epoch-driven governor attached to one Processor's poll cores.
  * Runs on the owning processor's event queue.
  */
@@ -217,16 +247,8 @@ class CoreGovernor
         return idx < parked_.size() && !parked_[idx];
     }
 
-    // --- per-epoch counters (reset at the warmup boundary) ----------
-    std::uint64_t epochs() const { return epochs_; }
-    std::uint64_t rebalances() const { return rebalances_; }
-    std::uint64_t migrations() const { return migrations_; }
-    std::uint64_t parks() const { return parks_; }
-    std::uint64_t unparks() const { return unparks_; }
-
-    /** Extremes of the active-core count observed since reset. */
-    unsigned minActiveCores() const { return minActive_; }
-    unsigned maxActiveCores() const { return maxActive_; }
+    /** Counters since the last resetStats(). */
+    const GovernorCounters &counters() const { return counts_; }
 
     void resetStats();
 
@@ -249,13 +271,7 @@ class CoreGovernor
     unsigned active_;
     std::uint32_t dwell_ = 0;
 
-    std::uint64_t epochs_ = 0;
-    std::uint64_t rebalances_ = 0;
-    std::uint64_t migrations_ = 0;
-    std::uint64_t parks_ = 0;
-    std::uint64_t unparks_ = 0;
-    unsigned minActive_;
-    unsigned maxActive_;
+    GovernorCounters counts_;
 
     // Span/flight-recorder sinks (null = off) and the sliding
     // park/unpark storm window.

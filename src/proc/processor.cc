@@ -626,46 +626,11 @@ Processor::governorActiveCores() const
     return governor_ != nullptr ? governor_->activeCores() : cfg_.cores;
 }
 
-std::uint64_t
-Processor::governorEpochs() const
+GovernorCounters
+Processor::governorCounters() const
 {
-    return governor_ != nullptr ? governor_->epochs() : 0;
-}
-
-std::uint64_t
-Processor::governorRebalances() const
-{
-    return governor_ != nullptr ? governor_->rebalances() : 0;
-}
-
-std::uint64_t
-Processor::governorMigrations() const
-{
-    return governor_ != nullptr ? governor_->migrations() : 0;
-}
-
-std::uint64_t
-Processor::governorParks() const
-{
-    return governor_ != nullptr ? governor_->parks() : 0;
-}
-
-std::uint64_t
-Processor::governorUnparks() const
-{
-    return governor_ != nullptr ? governor_->unparks() : 0;
-}
-
-unsigned
-Processor::governorMinActive() const
-{
-    return governor_ != nullptr ? governor_->minActiveCores() : 0;
-}
-
-unsigned
-Processor::governorMaxActive() const
-{
-    return governor_ != nullptr ? governor_->maxActiveCores() : 0;
+    return governor_ != nullptr ? governor_->counters()
+                                : GovernorCounters{};
 }
 
 void

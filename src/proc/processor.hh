@@ -479,13 +479,8 @@ class Processor
      */
     unsigned governorActiveCores() const;
 
-    std::uint64_t governorEpochs() const;
-    std::uint64_t governorRebalances() const;
-    std::uint64_t governorMigrations() const;
-    std::uint64_t governorParks() const;
-    std::uint64_t governorUnparks() const;
-    unsigned governorMinActive() const;
-    unsigned governorMaxActive() const;
+    /** The governor's counters (all zero when static). */
+    GovernorCounters governorCounters() const;
 
     /**
      * Register this processor's stats under @p prefix

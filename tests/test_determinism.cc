@@ -296,7 +296,7 @@ TEST(Determinism, FleetSweepThreads1VsNIdentical)
         opts.threads = threads;
         opts.json_path = base + ".json";
         opts.stats_path = base + "_stats.json";
-        const auto results = fleet::runFleetSweep(points, opts);
+        const auto results = runSweep(fleet::sweepJobs(points), opts);
         auto slurp = [](const std::string &path) {
             std::ifstream in(path, std::ios::binary);
             std::ostringstream os;
@@ -355,7 +355,7 @@ TEST(Determinism, SpanArtifactsIdenticalAcrossSweepThreads)
         opts.threads = threads;
         opts.trace_path = base + "_trace.json";
         opts.flightrec_path = base + "_fr.json";
-        const auto results = fleet::runFleetSweep(points, opts);
+        const auto results = runSweep(fleet::sweepJobs(points), opts);
         auto slurp = [](const std::string &path) {
             std::ifstream in(path, std::ios::binary);
             std::ostringstream os;

@@ -854,3 +854,70 @@ TEST(ObsConfig, ServerAndFleetReportTheSameObsMessages)
         }
     }
 }
+
+TEST(ObsIntegration, WindowStatsMatchRunResultOnServerAndFleet)
+{
+    // Both systems register their SLO and flight-recorder stats
+    // through the shared measurement window: on a faulted run with
+    // SLO, stats and the flight recorder on, each `<root>.slo.*` and
+    // `<root>.flightrec.*` counter must equal that run's RunResult
+    // field (and be present, not defaulted to zero).
+    const auto expectMatches = [](const Observability *o,
+                                  const std::string &root,
+                                  const core::RunResult &r) {
+        ASSERT_NE(o, nullptr);
+        std::ostringstream text;
+        o->writeStatsText(text);
+        const auto expectLine = [&text, &root](const std::string &path,
+                                               std::uint64_t want) {
+            const std::string line =
+                root + path + " = " + std::to_string(want) + "\n";
+            EXPECT_NE(text.str().find(line), std::string::npos) << line;
+        };
+        expectLine(".slo.epochs", r.slo_epochs);
+        expectLine(".slo.violation_epochs", r.slo_violation_epochs);
+        expectLine(".flightrec.dumps", r.fr_dumps);
+        expectLine(".flightrec.triggers_fault", r.fr_trigger_fault);
+        expectLine(".flightrec.triggers_slo", r.fr_trigger_slo);
+        expectLine(".flightrec.triggers_shed", r.fr_trigger_shed);
+        expectLine(".flightrec.triggers_gov", r.fr_trigger_gov);
+    };
+    const auto arm = [](ObsConfig &obs, SloConfig &slo,
+                        double target_us) {
+        obs.stats = true;
+        obs.flightrec = true;
+        obs.fr_armed = (1u << kFrTriggerKinds) - 1;
+        slo.target_p99_us = target_us;
+    };
+
+    {
+        core::ServerConfig cfg = core::ServerConfig::halDefault();
+        cfg.faults.processorFailure(fault::FaultTarget::Host, 15 * kMs,
+                                    8 * kMs);
+        arm(cfg.obs, cfg.slo, 40.0);
+        EventQueue eq;
+        core::ServerSystem sys(eq, cfg);
+        const core::RunResult r =
+            sys.run(std::make_unique<net::ConstantRate>(70.0), 5 * kMs,
+                    30 * kMs);
+        ASSERT_GT(r.fr_trigger_fault, 0u);
+        ASSERT_GT(r.slo_violation_epochs, 0u);
+        ASSERT_GT(r.fr_dumps, 0u);
+        expectMatches(sys.obs(), "server", r);
+    }
+    {
+        fleet::FleetConfig cfg;
+        cfg.backends = 3;
+        cfg.faults.backendCrash(1, 8 * kMs);
+        arm(cfg.obs, cfg.slo, 20.0);
+        EventQueue eq;
+        fleet::FleetSystem sys(eq, cfg);
+        const core::RunResult r =
+            sys.run(std::make_unique<net::ConstantRate>(45.0), 5 * kMs,
+                    20 * kMs);
+        ASSERT_GT(r.fr_trigger_fault, 0u);
+        ASSERT_GT(r.slo_violation_epochs, 0u);
+        ASSERT_GT(r.fr_dumps, 0u);
+        expectMatches(sys.obs(), "fleet", r);
+    }
+}

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Validate sweep-bench artifacts against the committed schema.
 
-CI runs the fig4 bench with --json/--stats-out/--trace and feeds the
-three artifacts through this script, so a RunResult field added (or
-renamed) in src/core/results.cc without a matching edit to
-tools/bench_schema.json fails the build instead of silently shipping
-a different artifact shape.
+CI runs the fig4 bench and the fleet drill with --json/--stats-out/
+--trace/--flightrec and feeds the artifacts through this script, so a
+RunResult field added (or renamed) in src/core/results.cc without a
+matching edit to tools/bench_schema.json fails the build instead of
+silently shipping a different artifact shape.
 
 Only the Python standard library is used.
 """
@@ -189,6 +189,50 @@ def check_stats(path, schema):
                      (path, dotted))
 
 
+FLIGHTREC_FIELDS = {"dumps": "array", "triggers": "object",
+                    "recorded": "uint", "dumps_dropped": "uint"}
+FR_TRIGGERS = ("fault", "slo", "shed", "gov")
+
+
+def check_flightrec(path, results_path):
+    """The --flightrec artifact: {"bench","points":[{"label",
+    "flightrec":{...}}]}, its labels in the order of the results
+    artifact when one is given."""
+    doc = load(path)
+    if doc is None:
+        return
+    check_fields(doc, {"bench": "string", "points": "array"}, path)
+    points = [p for p in doc.get("points") or [] if isinstance(p, dict)]
+    if not points:
+        fail("%s: points must be a non-empty array of objects" % path)
+    for i, row in enumerate(points):
+        where = "%s: points[%d]" % (path, i)
+        check_fields(row, {"label": "string", "flightrec": "object"},
+                     where)
+        fr = row.get("flightrec")
+        if not isinstance(fr, dict):
+            continue
+        check_fields(fr, FLIGHTREC_FIELDS, where)
+        if isinstance(fr.get("triggers"), dict):
+            check_fields(fr["triggers"], dict.fromkeys(FR_TRIGGERS, "uint"),
+                         where + ": triggers")
+        for j, dump in enumerate(fr.get("dumps") or []):
+            d = dump if isinstance(dump, dict) else {}
+            span = [d.get(k) for k in ("window_begin", "at", "window_end")]
+            if d.get("trigger") not in FR_TRIGGERS or \
+                    not all(isinstance(v, int) for v in span) or \
+                    span != sorted(span):
+                fail("%s: dumps[%d]: want a known trigger and "
+                     "window_begin <= at <= window_end" % (where, j))
+    results = load(results_path) if results_path else None
+    if isinstance(results, dict):
+        want = [r.get("label") for r in results.get("points") or []]
+        got = [r.get("label") for r in points]
+        if got != want:
+            fail("%s: labels %r are not the results labels %r" %
+                 (path, got, want))
+
+
 def check_simcore(path, schema):
     """The bench_sim_core artifact: every metric present and numeric."""
     doc = load(path)
@@ -259,12 +303,16 @@ def main():
     ap.add_argument("--results", help="results artifact (--json)")
     ap.add_argument("--stats", help="stats artifact (--stats-out)")
     ap.add_argument("--trace", help="trace artifact (--trace)")
+    ap.add_argument("--flightrec",
+                    help="flight-recorder artifact (--flightrec); its "
+                    "labels must follow --results order when given")
     ap.add_argument("--simcore",
                     help="bench_sim_core artifact (--json)")
     args = ap.parse_args()
-    if not (args.results or args.stats or args.trace or args.simcore):
+    if not (args.results or args.stats or args.trace or args.flightrec
+            or args.simcore):
         ap.error("give at least one of "
-                 "--results/--stats/--trace/--simcore")
+                 "--results/--stats/--trace/--flightrec/--simcore")
 
     schema = load(args.schema)
     if schema is None:
@@ -277,6 +325,8 @@ def main():
         check_stats(args.stats, schema["stats"])
     if args.trace:
         check_trace(args.trace, schema["trace"])
+    if args.flightrec:
+        check_flightrec(args.flightrec, args.results)
     if args.simcore:
         check_simcore(args.simcore, schema["simcore"])
 
@@ -286,7 +336,7 @@ def main():
         print("%d schema violation(s)" % len(ERRORS), file=sys.stderr)
         return 1
     checked = [p for p in (args.results, args.stats, args.trace,
-                           args.simcore) if p]
+                           args.flightrec, args.simcore) if p]
     print("schema OK: " + ", ".join(checked))
     return 0
 
