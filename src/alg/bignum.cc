@@ -1,6 +1,7 @@
 #include "alg/bignum.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -579,29 +580,39 @@ MontgomeryContext::montMul(const std::uint64_t *a, const std::uint64_t *b,
     }
 }
 
+template <typename BitFn>
+void
+MontgomeryContext::powWords(const Words &b, unsigned ebits, BitFn bit,
+                            Words &out) const
+{
+    // Into Montgomery form: b * R^2 / R = b * R mod m.
+    Words bm{};
+    montMul(b.data(), r2_.data(), bm.data());
+
+    Words acc = r1_;
+    for (unsigned i = ebits; i-- > 0;) {
+        montMul(acc.data(), acc.data(), acc.data());
+        if (bit(i))
+            montMul(acc.data(), bm.data(), acc.data());
+    }
+    // Out of Montgomery form: multiply by 1.
+    Words one{};
+    one[0] = 1;
+    montMul(acc.data(), one.data(), out.data());
+    std::fill(out.begin() + static_cast<long>(n_), out.end(), 0);
+}
+
 BigUint
 MontgomeryContext::modexp(const BigUint &base, const BigUint &e) const
 {
     if (e.isZero())
         return BigUint(1);
     const BigUint reduced = base < m_ ? BigUint() : base % m_;
-    const BigUint &b = base < m_ ? base : reduced;
-
-    // Into Montgomery form: b * R^2 / R = b * R mod m.
-    Words bm{};
-    toWords(b, bm);
-    montMul(bm.data(), r2_.data(), bm.data());
-
-    Words acc = r1_;
-    for (unsigned i = e.bitLength(); i-- > 0;) {
-        montMul(acc.data(), acc.data(), acc.data());
-        if (e.bit(i))
-            montMul(acc.data(), bm.data(), acc.data());
-    }
-    // Out of Montgomery form: multiply by 1.
-    Words one{};
-    one[0] = 1;
-    montMul(acc.data(), one.data(), acc.data());
+    Words b{};
+    toWords(base < m_ ? base : reduced, b);
+    Words acc{};
+    powWords(b, e.bitLength(), [&e](unsigned i) { return e.bit(i); },
+             acc);
 
     BigUint out;
     out.limbs_.resize(2 * n_);
@@ -609,6 +620,38 @@ MontgomeryContext::modexp(const BigUint &base, const BigUint &e) const
         out.limbs_[i] = static_cast<Limb>(acc[i / 2] >> (32 * (i % 2)));
     out.trim();
     return out;
+}
+
+// halint: hotpath
+void
+MontgomeryContext::modexpWords(const Words &base,
+                               std::span<const std::uint64_t> e,
+                               Words &out) const
+{
+    std::size_t top = e.size();
+    while (top > 0 && e[top - 1] == 0)
+        --top;
+    if (top == 0) {
+        out = Words{};
+        out[0] = 1;
+        return;
+    }
+    const unsigned ebits = static_cast<unsigned>(
+        64 * top - static_cast<unsigned>(std::countl_zero(e[top - 1])));
+    powWords(base, ebits,
+             [e](unsigned i) { return (e[i / 64] >> (i % 64)) & 1; }, out);
+}
+
+// halint: hotpath
+void
+MontgomeryContext::mulModWords(const Words &a, const Words &b,
+                               Words &out) const
+{
+    // a * b / R, then * R^2 / R: a * b mod m.
+    Words t{};
+    montMul(a.data(), b.data(), t.data());
+    montMul(t.data(), r2_.data(), out.data());
+    std::fill(out.begin() + static_cast<long>(n_), out.end(), 0);
 }
 
 namespace groups {

@@ -106,12 +106,18 @@ class BigUint
  * Montgomery arithmetic for one odd modulus: R^2 mod m and
  * -m^-1 mod 2^64 are computed once, so an exponentiation needs no
  * division. Works on 64-bit words (CIOS with 128-bit products) in
- * fixed stack arrays, for moduli up to kMaxBits bits.
+ * fixed stack arrays, for moduli up to kMaxBits bits. The Words
+ * overloads never touch the heap, for per-packet callers.
  */
 class MontgomeryContext
 {
   public:
     static constexpr unsigned kMaxBits = 4096;
+    static constexpr std::size_t kMaxWords = kMaxBits / 64;
+
+    /** A fixed-width operand: little-endian 64-bit words, zero above
+     *  the modulus width. */
+    using Words = std::array<std::uint64_t, kMaxWords>;
 
     /** True when @p m is odd, above 1, and at most kMaxBits bits. */
     static bool supports(const BigUint &m);
@@ -124,12 +130,23 @@ class MontgomeryContext
     /** (base ^ e) mod m; the same value as base.modexp(e, m). */
     BigUint modexp(const BigUint &base, const BigUint &e) const;
 
-  private:
-    static constexpr std::size_t kMaxWords = kMaxBits / 64;
-    using Words = std::array<std::uint64_t, kMaxWords>;
+    /** out = (base ^ e) mod m with @p e as little-endian words.
+     *  @pre base < m. @p out may alias @p base. */
+    void modexpWords(const Words &base, std::span<const std::uint64_t> e,
+                     Words &out) const;
 
+    /** out = a * b mod m. @pre a, b < m. @p out may alias either. */
+    void mulModWords(const Words &a, const Words &b, Words &out) const;
+
+  private:
     /** OR @p x (below 2^kMaxBits) into zeroed 64-bit words. */
     static void toWords(const BigUint &x, Words &out);
+
+    /** out = (b ^ e) mod m for b < m, the exponent's @p ebits bits
+     *  read MSB first through @p bit(i). */
+    template <typename BitFn>
+    void powWords(const Words &b, unsigned ebits, BitFn bit,
+                  Words &out) const;
 
     /** out = a * b / R mod m; a, b < m. @p out may alias either. */
     void montMul(const std::uint64_t *a, const std::uint64_t *b,

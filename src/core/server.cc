@@ -157,6 +157,13 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
     if (fn_->stateful() && cooperative && cfg_.coherent_state)
         domain_ = std::make_unique<coherence::CoherenceDomain>();
 
+    // Decided once: a pure kernel runs on the payload workers, every
+    // other function inline on the simulation thread.
+    if (funcs::KernelFunction *k = fn_->kernel()) {
+        if (const unsigned workers = proc::payloadWorkers(); workers > 0)
+            payload_ = std::make_unique<proc::PayloadPool>(*k, workers);
+    }
+
     // --- Egress: processors -> (merger) -> return link -> client ----
     returnLink_ = std::make_unique<net::Link>(
         eq_, net::Link::Config{100.0, 500 * kNs, 4096, "return"},
@@ -232,6 +239,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         hc.service_mac = hostMac_;
         // In host-only mode the host IS the service identity.
         hc.service_ip = cfg_.mode == Mode::HostOnly ? snicIp_ : hostIp_;
+        hc.payload_pool = payload_.get();
         host_ = std::make_unique<proc::Processor>(
             eq_, hc, *fn_, domain_.get(), *hostTxDelay_);
     }
@@ -255,6 +263,7 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
         sc.node = coherence::NodeId::Snic;
         sc.service_mac = snicMac_;
         sc.service_ip = snicIp_;
+        sc.payload_pool = payload_.get();
         snic_ = std::make_unique<proc::Processor>(
             eq_, sc, *fn_, domain_.get(), *merger_);
     }

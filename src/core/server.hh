@@ -306,6 +306,11 @@ class ServerSystem
     funcs::NetworkFunction &function() { return *fn_; }
     proc::Processor *snicProcessor() { return snic_.get(); }
     proc::Processor *hostProcessor() { return host_.get(); }
+    /** Payload worker threads of this run (0 = kernels run inline). */
+    unsigned payloadWorkers() const
+    {
+        return payload_ != nullptr ? payload_->workers() : 0;
+    }
     TrafficDirector *director() { return director_.get(); }
     TrafficMerger *merger() { return merger_.get(); }
     LoadBalancingPolicy *lbp() { return lbp_.get(); }
@@ -351,6 +356,10 @@ class ServerSystem
     net::Ipv4Addr clientIp_, snicIp_, hostIp_;
 
     funcs::FunctionPtr fn_;
+    /** Runs fn_'s pure kernel off the simulation thread; null when
+     *  fn_ has no kernel or no payload workers were selected. Outlives
+     *  the processors that submit to it. */
+    std::unique_ptr<proc::PayloadPool> payload_;
 
     net::Client client_;
     std::unique_ptr<coherence::CoherenceDomain> domain_;

@@ -10,6 +10,7 @@
 #include "funcs/registry.hh"
 #include "obs/registry.hh"
 #include "obs/span.hh"
+#include "proc/payload_pool.hh"
 #include "sim/parallel.hh"
 
 namespace halsim::core {
@@ -20,6 +21,20 @@ namespace {
  *  artifacts must be byte-identical across checkouts and rebuilds,
  *  so no git-describe, hostnames, or timestamps. */
 constexpr const char *kBuildTag = "halsim";
+
+/** Selects 0 payload workers on this thread while it lives: points
+ *  of a parallel sweep already fill every core. */
+class InlineKernels
+{
+  public:
+    InlineKernels() : prev_(proc::setPayloadWorkers(0)) {}
+    ~InlineKernels() { proc::setPayloadWorkers(prev_); }
+    InlineKernels(const InlineKernels &) = delete;
+    InlineKernels &operator=(const InlineKernels &) = delete;
+
+  private:
+    std::optional<unsigned> prev_;
+};
 
 /** Write @p doc and a newline to @p path (a path that cannot be
  *  opened is reported on stderr). */
@@ -170,7 +185,12 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opts)
     std::vector<std::string> stats(jobs.size());
     std::vector<std::string> traces(jobs.size());
     std::vector<std::string> frs(jobs.size());
+    const bool wide =
+        (opts.threads == 0 ? hardwareThreads() : opts.threads) > 1;
     parallelFor(jobs.size(), opts.threads, [&](std::size_t i) {
+        std::optional<InlineKernels> inline_kernels;
+        if (wide)
+            inline_kernels.emplace();
         results[i] = jobs[i].run(opts, [&, i](const obs::Observability *o) {
             if (o == nullptr)
                 return;

@@ -1,6 +1,9 @@
 #include "funcs/content.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "alg/sha256.hh"
@@ -35,13 +38,13 @@ RemFunction::RemFunction(Config cfg)
 {}
 
 // halint: hotpath
-void
-RemFunction::process(net::Packet &pkt, coherence::StateContext &)
+KernelSummary
+RemFunction::run(std::span<std::uint8_t> p, KernelWorkspace *) const
 {
-    auto p = pkt.payload();
-    const std::uint64_t matches = ac_->countMatches(p);
-    totalMatches_ += matches;
-    store64(p.data(), matches);
+    KernelSummary s;
+    s.matches = ac_->countMatches(p);
+    store64(p.data(), s.matches);
+    return s;
 }
 
 void
@@ -57,51 +60,109 @@ RemFunction::makeRequest(net::Packet &pkt, Rng &rng)
 }
 
 CryptoFunction::CryptoFunction(Config cfg)
-    : cfg_(cfg), mont_(alg::groups::prime512()), g_(2), e_(65537)
-{}
-
-void
-CryptoFunction::process(net::Packet &pkt, coherence::StateContext &)
+    : cfg_(cfg), mont_(alg::groups::prime512())
 {
-    auto p = pkt.payload();
+    // The digest (256 bits) must already be reduced mod p.
+    assert(mont_.modulus().bitLength() > 256);
+    g_[0] = 2;
+}
+
+namespace {
+
+using Words = alg::MontgomeryContext::Words;
+
+/** Exponent operand: the digest's 256 bits plus a carry word. */
+using Exponent = std::array<std::uint64_t, 5>;
+
+/** @p out = the big-endian @p bytes as a number (BigUint::fromBytes). */
+void
+wordsFromBytes(std::span<const std::uint8_t> bytes, Words &out)
+{
+    out = Words{};
+    for (std::size_t k = 0; k < bytes.size(); ++k)   // k-th byte from the end
+        out[k / 8] |= static_cast<std::uint64_t>(bytes[bytes.size() - 1 - k])
+                      << (8 * (k % 8));
+}
+
+/** @p e = (digest >> 64 * word_shift) mod 2^bits + add. */
+void
+digestExponent(const Words &digest, std::size_t word_shift, unsigned bits,
+               std::uint64_t add, Exponent &e)
+{
+    e = Exponent{};
+    for (std::size_t i = 0; i + word_shift < 4 && 64 * i < bits; ++i) {
+        const unsigned left = bits - static_cast<unsigned>(64 * i);
+        const std::uint64_t mask =
+            left >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << left) - 1;
+        e[i] = digest[i + word_shift] & mask;
+    }
+    for (std::size_t i = 0; i < e.size() && add != 0; ++i) {
+        e[i] += add;
+        add = e[i] < add ? 1 : 0;
+    }
+}
+
+/** Length of @p w's minimal big-endian encoding (0 for zero). */
+std::size_t
+byteLength(const Words &w)
+{
+    for (std::size_t i = w.size(); i-- > 0;) {
+        if (w[i] != 0) {
+            const int bits = 64 - std::countl_zero(w[i]);
+            return 8 * i + static_cast<std::size_t>(bits + 7) / 8;
+        }
+    }
+    return 0;
+}
+
+} // namespace
+
+// halint: hotpath
+KernelSummary
+CryptoFunction::run(std::span<std::uint8_t> p, KernelWorkspace *) const
+{
     const std::uint8_t op = p.empty() ? 0 : p[0] % 3;
 
     // Digest the signed prefix; all three ops key off it.
     const alg::Sha256Digest digest = alg::Sha256::hash(
         p.subspan(0, std::min(p.size(), cfg_.digest_bytes)));
-    const alg::BigUint m = alg::BigUint::fromBytes(
-        std::span<const std::uint8_t>(digest.data(), digest.size()));
+    Words m{};
+    wordsFromBytes(digest, m);
 
-    alg::BigUint result;
+    Exponent e{};
+    Words result{};
     switch (op) {
       case 0:
-        // RSA-style: digest^e mod n.
-        result = mont_.modexp(m, e_);
+        // RSA-style: digest^e mod n, e = 65537.
+        digestExponent(m, 0, 0, 65537, e);
+        mont_.modexpWords(m, e, result);
         break;
-      case 1: {
-        // DH-style: g^x mod p with an ephemeral exponent derived
-        // from the digest (truncated to the configured bits).
-        const alg::BigUint x =
-            m % (alg::BigUint(1) << cfg_.exponent_bits);
-        result = mont_.modexp(g_, x + alg::BigUint(1));
+      case 1:
+        // DH-style: g^(x + 1) mod p with an ephemeral exponent x
+        // derived from the digest (truncated to the configured bits).
+        digestExponent(m, 0, cfg_.exponent_bits, 1, e);
+        mont_.modexpWords(g_, e, result);
         break;
-      }
-      default: {
-        // DSA-style: r = (g^k mod p) and fold in the digest.
-        const alg::BigUint k =
-            (m >> 128) % (alg::BigUint(1) << cfg_.exponent_bits);
-        const alg::BigUint r = mont_.modexp(g_, k + alg::BigUint(2));
-        result = (r * m) % mont_.modulus();
+      default:
+        // DSA-style: r = g^(k + 2) mod p, k from the digest's upper
+        // half, and fold in the digest: r * digest mod p.
+        digestExponent(m, 2, cfg_.exponent_bits, 2, e);
+        mont_.modexpWords(g_, e, result);
+        mont_.mulModWords(result, m, result);
         break;
-      }
     }
 
-    const std::vector<std::uint8_t> bytes = result.toBytes();
-    const std::size_t out = std::min<std::size_t>(bytes.size(), 64);
+    // The response carries the result's minimal big-endian bytes.
+    const std::size_t len = byteLength(result);
+    const std::size_t out = std::min<std::size_t>(len, 64);
     if (p.size() >= 1 + out) {
         p[0] = op;
-        std::memcpy(p.data() + 1, bytes.data(), out);
+        for (std::size_t k = 0; k < out; ++k) {
+            const std::size_t j = len - 1 - k;   // byte j from the LSB
+            p[1 + k] = static_cast<std::uint8_t>(result[j / 8] >> (8 * (j % 8)));
+        }
     }
+    return {};
 }
 
 void
@@ -120,11 +181,17 @@ CompressFunction::CompressFunction(Config cfg)
     : cfg_(cfg), corpus_(alg::makeSilesiaLike(1 << 20, cfg.seed))
 {}
 
-// halint: hotpath
-void
-CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
+std::unique_ptr<KernelWorkspace>
+CompressFunction::makeWorkspace() const
 {
-    auto p = pkt.payload();
+    // halint: allow(HAL-W008) one per payload worker, at pool start
+    return std::make_unique<Workspace>();
+}
+
+// halint: hotpath
+KernelSummary
+CompressFunction::run(std::span<std::uint8_t> p, KernelWorkspace *ws) const
+{
     alg::DeflateConfig dc;
     dc.max_chain = cfg_.max_chain;
     // Per-packet accelerator path: static tables, like the hardware
@@ -132,15 +199,17 @@ CompressFunction::process(net::Packet &pkt, coherence::StateContext &)
     // per 1.5 KB packet costs more than it saves).
     dc.allow_dynamic = false;
     const std::span<const std::uint8_t> compressed =
-        deflater_.compress(p, dc);
-    bytesIn_ += p.size();
-    bytesOut_ += compressed.size();
+        static_cast<Workspace *>(ws)->deflater.compress(p, dc);
+    KernelSummary s;
+    s.bytes_in = p.size();
+    s.bytes_out = compressed.size();
 
     store32(p.data(), static_cast<std::uint32_t>(p.size()));
     store32(p.data() + 4, static_cast<std::uint32_t>(compressed.size()));
     const std::size_t keep =
         std::min(compressed.size(), p.size() > 8 ? p.size() - 8 : 0);
     std::memcpy(p.data() + 8, compressed.data(), keep);
+    return s;
 }
 
 void

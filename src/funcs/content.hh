@@ -42,7 +42,7 @@ class DpdkFwdFunction : public NetworkFunction
  * Request payload: scan text (whole payload)
  * Response payload: [match_count:8]
  */
-class RemFunction : public NetworkFunction
+class RemFunction : public KernelFunction
 {
   public:
     struct Config
@@ -59,9 +59,10 @@ class RemFunction : public NetworkFunction
 
     FunctionId id() const override { return FunctionId::Rem; }
     bool stateful() const override { return false; }
-    void process(net::Packet &pkt,
-                 coherence::StateContext &state) override;
     void makeRequest(net::Packet &pkt, Rng &rng) override;
+    KernelSummary run(std::span<std::uint8_t> payload,
+                      KernelWorkspace *ws) const override;
+    void fold(const KernelSummary &s) override { totalMatches_ += s.matches; }
 
     const alg::AhoCorasick &automaton() const { return *ac_; }
     std::uint64_t totalMatches() const { return totalMatches_; }
@@ -85,7 +86,7 @@ class RemFunction : public NetworkFunction
  *   op 2 = DSA-style (g^k mod p combined with digest)
  * Response payload: [op:1][result bytes:64]
  */
-class CryptoFunction : public NetworkFunction
+class CryptoFunction : public KernelFunction
 {
   public:
     struct Config
@@ -104,17 +105,17 @@ class CryptoFunction : public NetworkFunction
 
     FunctionId id() const override { return FunctionId::Crypto; }
     bool stateful() const override { return false; }
-    void process(net::Packet &pkt,
-                 coherence::StateContext &state) override;
     void makeRequest(net::Packet &pkt, Rng &rng) override;
+    /** Allocation-free: every operand is a fixed word array. */
+    KernelSummary run(std::span<std::uint8_t> payload,
+                      KernelWorkspace *ws) const override;
 
     const alg::BigUint &modulus() const { return mont_.modulus(); }
 
   private:
     Config cfg_;
     alg::MontgomeryContext mont_;   //!< over the 512-bit prime modulus
-    alg::BigUint g_;                //!< generator
-    alg::BigUint e_;                //!< RSA-style public exponent
+    alg::MontgomeryContext::Words g_{};   //!< generator
 };
 
 /**
@@ -123,7 +124,7 @@ class CryptoFunction : public NetworkFunction
  * Request payload: raw data (whole payload)
  * Response payload: [orig_len:4][comp_len:4][compressed prefix...]
  */
-class CompressFunction : public NetworkFunction
+class CompressFunction : public KernelFunction
 {
   public:
     struct Config
@@ -142,18 +143,33 @@ class CompressFunction : public NetworkFunction
      * the flag so the harness can do the same.
      */
     bool stateful() const override { return true; }
-    void process(net::Packet &pkt,
-                 coherence::StateContext &state) override;
     void makeRequest(net::Packet &pkt, Rng &rng) override;
+    std::unique_ptr<KernelWorkspace> makeWorkspace() const override;
+    KernelWorkspace *ownWorkspace() override { return &own_; }
+    /** @p ws must come from makeWorkspace() or ownWorkspace(). */
+    KernelSummary run(std::span<std::uint8_t> payload,
+                      KernelWorkspace *ws) const override;
+    void
+    fold(const KernelSummary &s) override
+    {
+        bytesIn_ += s.bytes_in;
+        bytesOut_ += s.bytes_out;
+    }
 
     std::uint64_t bytesIn() const { return bytesIn_; }
     std::uint64_t bytesOut() const { return bytesOut_; }
 
   private:
+    /** One thread's compression workspace. */
+    struct Workspace : KernelWorkspace
+    {
+        alg::Deflater deflater;
+    };
+
     Config cfg_;
     std::vector<std::uint8_t> corpus_;
-    /** This instance's compression workspace (never shared). */
-    alg::Deflater deflater_;
+    /** The workspace process() uses (never shared). */
+    Workspace own_;
     std::uint64_t bytesIn_ = 0;
     std::uint64_t bytesOut_ = 0;
 };

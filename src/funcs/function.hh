@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "coherence/domain.hh"
@@ -67,6 +68,8 @@ stateLineAddr(std::uint64_t key)
 /** Short lowercase name as used in the paper's tables. */
 const char *functionName(FunctionId id);
 
+class KernelFunction;
+
 /**
  * One network function: real request parsing + computation.
  *
@@ -99,10 +102,75 @@ class NetworkFunction
      */
     virtual void makeRequest(net::Packet &pkt, Rng &rng) = 0;
 
+    /** This function as a pure payload kernel, or null when its work
+     *  touches shared state or is too cheap to move off-thread. */
+    virtual KernelFunction *kernel() { return nullptr; }
+
     const char *name() const { return functionName(id()); }
 };
 
 using FunctionPtr = std::unique_ptr<NetworkFunction>;
+
+/** What one kernel run adds to its function's running totals. */
+struct KernelSummary
+{
+    std::uint64_t matches = 0;     //!< rem: rule matches in the payload
+    std::uint64_t bytes_in = 0;    //!< comp: bytes compressed
+    std::uint64_t bytes_out = 0;   //!< comp: compressed size
+};
+
+/** Scratch state one thread runs a kernel against (comp's Deflater). */
+class KernelWorkspace
+{
+  public:
+    KernelWorkspace() = default;
+    KernelWorkspace(const KernelWorkspace &) = default;
+    KernelWorkspace(KernelWorkspace &&) = default;
+    KernelWorkspace &operator=(const KernelWorkspace &) = default;
+    KernelWorkspace &operator=(KernelWorkspace &&) = default;
+    virtual ~KernelWorkspace() = default;
+};
+
+/**
+ * A function whose per-packet work is a pure kernel: the response
+ * bytes depend only on the request payload and immutable
+ * configuration, and all scratch memory lives in a KernelWorkspace.
+ * run() is const and may execute on any thread, one workspace per
+ * thread; fold() adds the run's summary to the running totals on the
+ * simulation thread. process() is exactly run() on the function's
+ * own workspace followed by fold(), so a kernel run elsewhere and
+ * folded later leaves the same bytes and the same totals.
+ */
+class KernelFunction : public NetworkFunction
+{
+  public:
+    void
+    process(net::Packet &pkt, coherence::StateContext &) final
+    {
+        fold(run(pkt.payload(), ownWorkspace()));
+    }
+
+    KernelFunction *kernel() final { return this; }
+
+    /** A workspace for one more thread; null when run() needs none. */
+    virtual std::unique_ptr<KernelWorkspace>
+    makeWorkspace() const
+    {
+        return nullptr;
+    }
+
+    /** The workspace process() uses (simulation thread only). */
+    virtual KernelWorkspace *ownWorkspace() { return nullptr; }
+
+    /** Rewrite @p payload in place into the response. Reads nothing
+     *  but @p payload, immutable config and @p ws (from this
+     *  function's makeWorkspace() or ownWorkspace()). */
+    virtual KernelSummary run(std::span<std::uint8_t> payload,
+                              KernelWorkspace *ws) const = 0;
+
+    /** Add one run's summary to the running totals. */
+    virtual void fold(const KernelSummary &) {}
+};
 
 } // namespace halsim::funcs
 

@@ -89,6 +89,9 @@ PollCore::idleLevel() const
 
 PollCore::~PollCore()
 {
+    // The in-flight packet dies with the core: its kernel run first.
+    if (job_ != nullptr)
+        cfg_.payload_pool->join(job_, *inflight_);
     if (sleepEvent_.scheduled())
         eq_.deschedule(&sleepEvent_);
     if (finishEvent_.scheduled())
@@ -191,9 +194,13 @@ PollCore::startNext()
                      obs::SpanKind::ServiceStart, traceLane_,
                      traceCore_);
 
-    // The real function work happens here; timing below is modeled.
+    // The real function work starts here (on a payload worker when
+    // the pool is set; finish() joins it); timing below is modeled.
     coherence::StateContext ctx(domain_, cfg_.node);
-    fn_.process(*pkt, ctx);
+    if (cfg_.payload_pool != nullptr)
+        job_ = cfg_.payload_pool->submit(*pkt);
+    else
+        fn_.process(*pkt, ctx);
 
     const Tick service =
         static_cast<Tick>(
@@ -209,6 +216,10 @@ PollCore::startNext()
 void
 PollCore::finish(net::PacketPtr pkt)
 {
+    if (job_ != nullptr) {
+        cfg_.payload_pool->join(job_, *pkt);
+        job_ = nullptr;
+    }
     ++frames_;
     bytes_ += pkt->size();
     obs::tracePacket(trace_, eq_.now(), pkt->id,
@@ -293,6 +304,9 @@ Accelerator::Accelerator(EventQueue &eq, Config cfg,
 
 Accelerator::~Accelerator()
 {
+    // Packets in pending slot-exit events die with the queue, unjoined.
+    if (cfg_.payload_pool != nullptr)
+        cfg_.payload_pool->drain();
     if (sleepEvent_.scheduled())
         eq_.deschedule(&sleepEvent_);
 }
@@ -375,11 +389,16 @@ Accelerator::pump()
         setPowerLevel(1.0);
     }
 
-    // The real function work happens at pipeline entry; coherent
+    // The real function work starts at pipeline entry (on a payload
+    // worker when the pool is set, joined before finish()); coherent
     // state accesses extend the slot occupancy just as they stall a
     // hardware pipeline.
     coherence::StateContext ctx(domain_, cfg_.node);
-    fn_.process(*pkt, ctx);
+    PayloadPool::Job *job = nullptr;
+    if (cfg_.payload_pool != nullptr)
+        job = cfg_.payload_pool->submit(*pkt);
+    else
+        fn_.process(*pkt, ctx);
 
     // Software fallback after a failure serializes at a fraction of
     // the accelerated rate on the feeding cores.
@@ -389,13 +408,15 @@ Accelerator::pump()
     const Tick ser =
         transferTicks(pkt->size(), rate) + ctx.latency() + extra;
     eq_.scheduleFnIn(
-        [this, p = std::move(pkt)]() mutable {
+        [this, p = std::move(pkt), job]() mutable {
             // Serialization slot free: the next packet can enter
             // while this one traverses the fixed pipeline latency
             // (software fallback has no hardware pipeline to cross).
             inSlot_ = false;
             eq_.scheduleFnIn(
-                [this, q = std::move(p)]() mutable {
+                [this, q = std::move(p), job]() mutable {
+                    if (job != nullptr)
+                        cfg_.payload_pool->join(job, *q);
                     finish(std::move(q));
                 },
                 failed_ ? 0 : cfg_.profile.accel_latency);
@@ -436,6 +457,8 @@ Processor::Processor(EventQueue &eq, Config cfg,
                      net::PacketSink &tx)
     : eq_(eq), cfg_(std::move(cfg)), power_(eq)
 {
+    assert(cfg_.payload_pool == nullptr ||
+           fn.kernel() == &cfg_.payload_pool->function());
     if (cfg_.profile.unit == funcs::ExecUnit::Accel) {
         Accelerator::Config ac;
         ac.profile = cfg_.profile;
@@ -447,6 +470,7 @@ Processor::Processor(EventQueue &eq, Config cfg,
         ac.service_ip = cfg_.service_ip;
         ac.sleep = cfg_.sleep;
         ac.fallback_frac = cfg_.accel_fallback_frac;
+        ac.payload_pool = cfg_.payload_pool;
         ac.fallback_tag = cfg_.node == coherence::NodeId::Snic
                               ? net::Processor::SnicCpu
                               : net::Processor::HostCpu;
@@ -468,6 +492,7 @@ Processor::Processor(EventQueue &eq, Config cfg,
                  : net::Processor::HostCpu;
     cc.service_mac = cfg_.service_mac;
     cc.service_ip = cfg_.service_ip;
+    cc.payload_pool = cfg_.payload_pool;
 
     if (cfg_.governor.enabled) {
         groupTable_ = std::make_unique<FlowGroupTable>(

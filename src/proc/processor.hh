@@ -24,6 +24,7 @@
 #include "nic/eswitch.hh"
 #include "obs/hooks.hh"
 #include "proc/governor.hh"
+#include "proc/payload_pool.hh"
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -144,6 +145,8 @@ class PollCore
         /** Shared frequency scale set by the DVFS governor (null =
          *  fixed nominal frequency). */
         const double *freq_scale = nullptr;
+        /** Runs the function's kernel off-thread (null = inline). */
+        PayloadPool *payload_pool = nullptr;
     };
 
     PollCore(EventQueue &eq, Config cfg, nic::DpdkRing &ring,
@@ -251,6 +254,8 @@ class PollCore
      *  (recycled in place) instead of a per-service one-shot. */
     CallbackEvent finishEvent_;
     net::PacketPtr inflight_;
+    /** inflight_'s kernel run, joined at the start of finish(). */
+    PayloadPool::Job *job_ = nullptr;
     bool busy_ = false;
     bool sleeping_ = false;    //!< deep sleep (wake penalty applies)
     bool parked_ = false;      //!< governor-parked (consolidation)
@@ -299,6 +304,8 @@ class Accelerator
         double fallback_frac = 0.15;
         /** Response attribution while running the software fallback. */
         net::Processor fallback_tag = net::Processor::SnicCpu;
+        /** Runs the function's kernel off-thread (null = inline). */
+        PayloadPool *payload_pool = nullptr;
     };
 
     Accelerator(EventQueue &eq, Config cfg,
@@ -415,6 +422,9 @@ class Processor
         net::Ipv4Addr service_ip;
         /** Software-fallback rate fraction after accelerator failure. */
         double accel_fallback_frac = 0.15;
+        /** Pool for the function's kernel: set only when @p fn of the
+         *  constructor is the pool's function (null = inline). */
+        PayloadPool *payload_pool = nullptr;
     };
 
     Processor(EventQueue &eq, Config cfg, funcs::NetworkFunction &fn,

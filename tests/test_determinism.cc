@@ -10,7 +10,9 @@
  *  - sweep worker count 1 vs. N (each point owns a private
  *    EventQueue, so parallelism must not perturb anything), and
  *  - observability on vs. off (stats probes and the trace ring are
- *    read-only observers; §DESIGN.md 10's neutrality contract).
+ *    read-only observers; §DESIGN.md 10's neutrality contract), and
+ *  - payload workers on vs. off (a serial sweep runs kernels on the
+ *    workers, a parallel one inline; DESIGN.md §8).
  *
  * The obs artifacts themselves (stats trees, trace text) must also be
  * byte-identical across sweep thread counts.
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "net/packet_pool.hh"
 #include "net/traffic.hh"
 #include "obs/obs.hh"
+#include "proc/payload_pool.hh"
 #include "sim/event_queue.hh"
 
 using namespace halsim;
@@ -450,4 +454,99 @@ TEST(Determinism, SweepThreads1VsNIdentical)
         SCOPED_TRACE(i);
         expectIdentical(rs[i], rp[i]);
     }
+}
+
+TEST(Determinism, KernelSweepThreads1VsNIdentical)
+{
+    // comp, crypto and rem: a serial sweep runs their kernels on 3
+    // payload workers, a parallel sweep inline (it forces 0). Every
+    // artifact must match byte for byte.
+    std::vector<SweepPoint> points;
+    for (funcs::FunctionId fn :
+         {funcs::FunctionId::Compress, funcs::FunctionId::Crypto,
+          funcs::FunctionId::Rem}) {
+        for (Mode mode : {Mode::Hal, Mode::SnicOnly}) {
+            SweepPoint p;
+            p.cfg = mode == Mode::Hal ? ServerConfig::halDefault(fn)
+                                      : ServerConfig::snicBaseline(fn);
+            p.rate_gbps = 30.0;
+            p.warmup = 1 * kMs;
+            p.measure = 3 * kMs;
+            p.label = std::string(funcs::functionName(fn)) + "_" +
+                      modeName(mode);
+            points.push_back(std::move(p));
+        }
+    }
+
+    auto artifacts = [&points](unsigned threads) {
+        const std::string base = ::testing::TempDir() + "det_kernels_t" +
+                                 std::to_string(threads);
+        SweepOptions opts;
+        opts.threads = threads;
+        opts.json_path = base + ".json";
+        opts.stats_path = base + "_stats.json";
+        opts.trace_path = base + "_trace.json";
+        runSweep(points, opts);
+        auto slurp = [](const std::string &path) {
+            std::ifstream in(path, std::ios::binary);
+            std::ostringstream os;
+            os << in.rdbuf();
+            return os.str();
+        };
+        return std::vector<std::string>{slurp(opts.json_path),
+                                        slurp(opts.stats_path),
+                                        slurp(opts.trace_path)};
+    };
+
+    const std::optional<unsigned> prev = proc::setPayloadWorkers(3);
+    const auto serial = artifacts(1);
+    const auto parallel = artifacts(4);
+    proc::setPayloadWorkers(prev);
+    ASSERT_FALSE(serial[0].empty());
+    ASSERT_FALSE(serial[1].empty());
+    ASSERT_FALSE(serial[2].empty());
+    // Only the results header's worker count may differ.
+    const auto fromPoints = [](const std::string &s) {
+        const std::size_t pos = s.find("\"points\"");
+        EXPECT_NE(pos, std::string::npos);
+        return s.substr(pos == std::string::npos ? 0 : pos);
+    };
+    EXPECT_EQ(fromPoints(serial[0]), fromPoints(parallel[0]));
+    EXPECT_EQ(serial[1], parallel[1]);   // stats trees
+    EXPECT_EQ(serial[2], parallel[2]);   // Chrome trace
+}
+
+TEST(Determinism, ParallelSweepRunsKernelsInline)
+{
+    // Each job records the payload workers its server got.
+    std::vector<unsigned> seen(4, 99);
+    std::vector<SweepJob> jobs;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        SweepJob j;
+        j.label = "rem" + std::to_string(i);
+        j.mode = "snic";
+        j.function = "rem";
+        j.run = [&seen, i](const SweepOptions &, const KeepObs &) {
+            EventQueue eq;
+            ServerSystem sys(
+                eq, ServerConfig::snicBaseline(funcs::FunctionId::Rem));
+            seen[i] = sys.payloadWorkers();
+            return RunResult{};
+        };
+        jobs.push_back(std::move(j));
+    }
+
+    const std::optional<unsigned> prev = proc::setPayloadWorkers(3);
+    SweepOptions opts;
+    opts.threads = 2;
+    runSweep(jobs, opts);
+    for (unsigned w : seen)
+        EXPECT_EQ(w, 0u);
+    opts.threads = 1;
+    runSweep(jobs, opts);
+    for (unsigned w : seen)
+        EXPECT_EQ(w, 3u);
+    // A parallel sweep leaves the caller's selection as it found it.
+    EXPECT_EQ(proc::payloadWorkers(), 3u);
+    proc::setPayloadWorkers(prev);
 }
