@@ -270,12 +270,6 @@ struct RunResult
     /** The same fields without the enclosing braces, for callers that
      *  splice extra keys (label, mode, ...) into the object. */
     void toJsonFields(std::ostream &os) const;
-
-    /** One CSV data row matching csvHeader() (no trailing newline). */
-    void toCsvRow(std::ostream &os) const;
-
-    /** The CSV header row for toCsvRow() (no trailing newline). */
-    static void csvHeader(std::ostream &os);
 };
 
 /**

@@ -512,6 +512,36 @@ TEST(HalintW008, HotpathCalleeOwnsItsSubtree)
     EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
 }
 
+TEST(HalintW008, MemberCallOnUnnamedClassHasNoEdge)
+{
+    // The receiver of x.fill() is not a Window: nothing in the
+    // caller's file names that class, so its allocating fill() is not
+    // reachable from the hot path.
+    const auto d = analyzeSources({
+        {"src/funcs/hot.cc",
+         "// halint: hotpath\n"
+         "void drive() { x.fill(0); }\n"},
+        {"src/obs/window.cc",
+         "void Window::fill(int v) { buf.push_back(v); }\n"},
+    });
+    EXPECT_TRUE(diagsOf(d, halint::kRuleTransitiveAlloc).empty());
+}
+
+TEST(HalintW008, MemberCallOnNamedClassKeepsItsEdge)
+{
+    const auto d = analyzeSources({
+        {"src/funcs/hot.cc",
+         "// halint: hotpath\n"
+         "void drive(Window &w) { w.fill(0); }\n"},
+        {"src/obs/window.cc",
+         "void Window::fill(int v) { buf.push_back(v); }\n"},
+    });
+    const auto w = diagsOf(d, halint::kRuleTransitiveAlloc);
+    ASSERT_EQ(w.size(), 1u);
+    EXPECT_EQ(w[0].file, "src/obs/window.cc");
+    EXPECT_NE(w[0].message.find("Window::fill"), std::string::npos);
+}
+
 // ---- HAL-W010: stats/results/schema drift --------------------------
 
 namespace {

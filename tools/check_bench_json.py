@@ -233,22 +233,6 @@ def check_flightrec(path, results_path):
                  (path, got, want))
 
 
-def check_simcore(path, schema):
-    """The bench_sim_core artifact: every metric present and numeric."""
-    doc = load(path)
-    if doc is None:
-        return
-    check_fields(doc, schema["header"], path)
-    metrics = doc.get("metrics")
-    if isinstance(metrics, dict):
-        check_fields(metrics, schema["metric_fields"],
-                     "%s: metrics" % path)
-    workload = doc.get("workload")
-    if isinstance(workload, dict):
-        check_fields(workload, schema["workload_fields"],
-                     "%s: workload" % path)
-
-
 def check_trace(path, schema):
     doc = load(path)
     if doc is None:
@@ -306,13 +290,10 @@ def main():
     ap.add_argument("--flightrec",
                     help="flight-recorder artifact (--flightrec); its "
                     "labels must follow --results order when given")
-    ap.add_argument("--simcore",
-                    help="bench_sim_core artifact (--json)")
     args = ap.parse_args()
-    if not (args.results or args.stats or args.trace or args.flightrec
-            or args.simcore):
+    if not (args.results or args.stats or args.trace or args.flightrec):
         ap.error("give at least one of "
-                 "--results/--stats/--trace/--flightrec/--simcore")
+                 "--results/--stats/--trace/--flightrec")
 
     schema = load(args.schema)
     if schema is None:
@@ -327,8 +308,6 @@ def main():
         check_trace(args.trace, schema["trace"])
     if args.flightrec:
         check_flightrec(args.flightrec, args.results)
-    if args.simcore:
-        check_simcore(args.simcore, schema["simcore"])
 
     if ERRORS:
         for e in ERRORS:
@@ -336,7 +315,7 @@ def main():
         print("%d schema violation(s)" % len(ERRORS), file=sys.stderr)
         return 1
     checked = [p for p in (args.results, args.stats, args.trace,
-                           args.flightrec, args.simcore) if p]
+                           args.flightrec) if p]
     print("schema OK: " + ", ".join(checked))
     return 0
 

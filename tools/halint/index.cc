@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 namespace halint {
 
@@ -25,6 +26,19 @@ bool
 isPunct(const Tok &t, const char *p)
 {
     return t.kind == TokKind::Punct && t.text == p;
+}
+
+/** ("a/b", ".cc") for "a/b.cc"; the extension is "" without a dot
+ *  in the last path segment. */
+std::pair<std::string, std::string>
+splitExtension(const std::string &path)
+{
+    const std::size_t dot = path.rfind('.');
+    const std::size_t slash = path.rfind('/');
+    if (dot == std::string::npos ||
+        (slash != std::string::npos && dot < slash))
+        return {path, ""};
+    return {path.substr(0, dot), path.substr(dot)};
 }
 
 enum class CtxKind { Namespace, Class, Func, Other };
@@ -188,11 +202,23 @@ buildIndex(const std::vector<SourceFile> &files)
 {
     RepoIndex idx;
     idx.units.reserve(files.size());
+    std::map<std::string, std::size_t> headers; //!< stem -> unit
     for (const SourceFile &f : files) {
         Unit u;
         u.path = f.path;
         u.lx = lex(f.content);
+        for (const Tok &t : u.lx.toks)
+            if (t.kind == TokKind::Ident)
+                u.idents.insert(t.text);
+        const auto [stem, ext] = splitExtension(u.path);
+        if (ext == ".hh" || ext == ".h" || ext == ".hpp")
+            headers[stem] = idx.units.size();
         idx.units.push_back(std::move(u));
+    }
+    for (Unit &u : idx.units) {
+        const auto it = headers.find(splitExtension(u.path).first);
+        if (it != headers.end() && &idx.units[it->second] != &u)
+            u.header = it->second;
     }
 
     for (std::size_t ui = 0; ui < idx.units.size(); ++ui) {

@@ -14,7 +14,9 @@
  * Known limits (deliberate): calls through function pointers,
  * virtual dispatch, and macros produce no edges; overloads and
  * same-named methods on different classes resolve to the union of
- * candidates (capped, see kMaxCallCandidates).
+ * candidates (capped, see kMaxCallCandidates). A member call keeps
+ * only the methods of classes that the caller's file or its
+ * same-stem header names.
  */
 
 #ifndef HALSIM_TOOLS_HALINT_INDEX_HH
@@ -22,6 +24,7 @@
 
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,11 +58,17 @@ struct FuncDef
     std::vector<CallSite> calls;
 };
 
+inline constexpr std::size_t kNoUnit = static_cast<std::size_t>(-1);
+
 /** One lexed translation unit. */
 struct Unit
 {
     std::string path;
     Lexed lx;
+    std::set<std::string> idents; //!< every identifier it spells
+    /** Index of the same-stem header ("a/b.hh" for "a/b.cc") in
+     *  RepoIndex::units; kNoUnit when there is none. */
+    std::size_t header = kNoUnit;
 };
 
 struct RepoIndex

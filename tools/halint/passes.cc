@@ -47,7 +47,22 @@ resolveCall(const RepoIndex &idx, const CallSite &cs,
     // up on names too common to carry a meaningful edge.
     if (it->second.size() > kMaxCallCandidates)
         return {};
-    return it->second;
+    if (!cs.member)
+        return it->second;
+    // A member call reaches a method only if the caller's file or its
+    // header names the method's class; otherwise the receiver is some
+    // other type (std::array::fill is not MeasurementWindow::fill).
+    const Unit &unit = idx.units[caller.unit];
+    auto named = [&](const std::string &klass) {
+        return !klass.empty() &&
+               (unit.idents.count(klass) != 0 ||
+                (unit.header != kNoUnit &&
+                 idx.units[unit.header].idents.count(klass) != 0));
+    };
+    for (std::size_t fi : it->second)
+        if (named(idx.funcs[fi].klass))
+            out.push_back(fi);
+    return out;
 }
 
 std::string
