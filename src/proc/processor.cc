@@ -38,21 +38,58 @@ makeResponse(net::Packet &pkt, const net::MacAddr &service_mac,
 
 } // namespace
 
+SleepTimer::~SleepTimer()
+{
+    if (scheduled())
+        eq_.deschedule(this);
+}
+
+// halint: hotpath
+void
+SleepTimer::armIn(Tick delta)
+{
+    deadline_ = eq_.now() + delta;
+    key_ = eq_.reserveKey();
+    // A pending entry fires first and re-arms then.
+    assert(!scheduled() || when() <= deadline_);
+    if (!scheduled()) {
+        heapKey_ = key_;
+        eq_.scheduleKeyed(this, deadline_, key_);
+    }
+}
+
+// halint: hotpath
+void
+SleepTimer::execute()
+{
+    if (!armed())
+        return;   // disarmed since this entry was pushed
+    if (heapKey_ != key_) {
+        // Pushed by an earlier arming: move to the current slot.
+        heapKey_ = key_;
+        eq_.scheduleKeyed(this, deadline_, key_);
+        return;
+    }
+    assert(eq_.now() == deadline_);
+    deadline_ = kTickNever;
+    expire_();
+}
+
 PollCore::PollCore(EventQueue &eq, Config cfg, nic::DpdkRing &ring,
                    funcs::NetworkFunction &fn,
                    coherence::CoherenceDomain *domain, net::PacketSink &tx,
                    PowerMeter &power)
     : eq_(eq), cfg_(std::move(cfg)), ring_(ring), fn_(fn),
-      domain_(domain), tx_(tx), power_(power)
+      domain_(domain), tx_(tx), power_(power),
+      sleepTimer_(eq, [this] { maybeSleep(); })
 {
-    sleepEvent_.setCallback([this] { maybeSleep(); });
     finishEvent_.setCallback([this] { finish(std::move(inflight_)); });
     // Without power management a poll-mode core burns full power from
     // the start (§III-B: DPDK busy-waiting keeps the CPU hot even
     // when idle); with it, waiting costs only the umwait fraction.
     setPowerLevel(idleLevel());
     if (cfg_.sleep.enabled)
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+        sleepTimer_.armIn(cfg_.sleep.sleep_after);
 }
 
 double
@@ -92,8 +129,6 @@ PollCore::~PollCore()
     // The in-flight packet dies with the core: its kernel run first.
     if (job_ != nullptr)
         cfg_.payload_pool->join(job_, *inflight_);
-    if (sleepEvent_.scheduled())
-        eq_.deschedule(&sleepEvent_);
     if (finishEvent_.scheduled())
         eq_.deschedule(&finishEvent_);
 }
@@ -113,8 +148,7 @@ PollCore::setStalled(bool stalled, double power_frac)
     stalled_ = stalled;
     stallFrac_ = power_frac;
     if (stalled) {
-        if (sleepEvent_.scheduled())
-            eq_.deschedule(&sleepEvent_);
+        sleepTimer_.disarm();
         sleeping_ = false;
         // An in-flight packet still completes; finish() then parks
         // the core at the stall power level.
@@ -144,8 +178,7 @@ PollCore::setParked(bool parked)
         // SleepPolicy (the governor IS the sleep decision here). A
         // busy or backlogged core keeps serving; finish() drops it
         // into deep sleep once the ring drains.
-        if (sleepEvent_.scheduled())
-            eq_.deschedule(&sleepEvent_);
+        sleepTimer_.disarm();
         sleeping_ = true;
         setPowerLevel(0.0);
     }
@@ -157,8 +190,7 @@ PollCore::forceWake()
     // A parked core stays asleep (the governor owns it: unpark first).
     if (stalled_ || busy_ || parked_)
         return;
-    if (sleepEvent_.scheduled())
-        eq_.deschedule(&sleepEvent_);
+    sleepTimer_.disarm();
     if (sleeping_) {
         sleeping_ = false;
         setPowerLevel(idleLevel());
@@ -183,8 +215,7 @@ PollCore::startNext()
         sleeping_ = false;
         extra = cfg_.sleep.wake_latency;
     }
-    if (sleepEvent_.scheduled())
-        eq_.deschedule(&sleepEvent_);
+    sleepTimer_.disarm();
 
     busy_ = true;
     setPowerLevel(1.0);
@@ -250,8 +281,8 @@ PollCore::finish(net::PacketPtr pkt)
 void
 PollCore::goIdle()
 {
-    if (cfg_.sleep.enabled && !sleeping_ && !sleepEvent_.scheduled())
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+    if (cfg_.sleep.enabled && !sleeping_ && !sleepTimer_.armed())
+        sleepTimer_.armIn(cfg_.sleep.sleep_after);
 }
 
 double
@@ -288,18 +319,13 @@ Accelerator::Accelerator(EventQueue &eq, Config cfg,
                          coherence::CoherenceDomain *domain,
                          net::PacketSink &tx, PowerMeter &power)
     : eq_(eq), cfg_(std::move(cfg)), fn_(fn), domain_(domain), tx_(tx),
-      power_(power), queue_(cfg_.queue_depth)
+      power_(power), queue_(cfg_.queue_depth),
+      sleepTimer_(eq, [this] { maybeSleep(); })
 {
     queue_.setNotify([this] { pump(); });
-    sleepEvent_.setCallback([this] {
-        if (!busyPipeline_ && queue_.empty() && !deepSleep_) {
-            deepSleep_ = true;
-            setPowerLevel(0.0);
-        }
-    });
     setPowerLevel(idleLevel());
     if (cfg_.sleep.enabled)
-        eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+        sleepTimer_.armIn(cfg_.sleep.sleep_after);
 }
 
 Accelerator::~Accelerator()
@@ -307,8 +333,6 @@ Accelerator::~Accelerator()
     // Packets in pending slot-exit events die with the queue, unjoined.
     if (cfg_.payload_pool != nullptr)
         cfg_.payload_pool->drain();
-    if (sleepEvent_.scheduled())
-        eq_.deschedule(&sleepEvent_);
 }
 
 double
@@ -384,8 +408,7 @@ Accelerator::pump()
             deepSleep_ = false;
             extra = cfg_.sleep.wake_latency;
         }
-        if (sleepEvent_.scheduled())
-            eq_.deschedule(&sleepEvent_);
+        sleepTimer_.disarm();
         setPowerLevel(1.0);
     }
 
@@ -425,11 +448,20 @@ Accelerator::pump()
             } else {
                 busyPipeline_ = false;
                 setPowerLevel(idleLevel());
-                if (cfg_.sleep.enabled && !sleepEvent_.scheduled())
-                    eq_.scheduleIn(&sleepEvent_, cfg_.sleep.sleep_after);
+                if (cfg_.sleep.enabled && !sleepTimer_.armed())
+                    sleepTimer_.armIn(cfg_.sleep.sleep_after);
             }
         },
         ser);
+}
+
+void
+Accelerator::maybeSleep()
+{
+    if (!busyPipeline_ && queue_.empty() && !deepSleep_) {
+        deepSleep_ = true;
+        setPowerLevel(0.0);
+    }
 }
 
 void

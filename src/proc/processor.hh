@@ -12,6 +12,7 @@
 #define HALSIM_PROC_PROCESSOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,6 +125,49 @@ class PowerMeter
   private:
     EventQueue &eq_;
     TimeWeighted tw_;
+};
+
+/**
+ * The idle-sleep timer of a poll core or an accelerator's feeding
+ * cores. It is armed each time the unit goes idle and disarmed each
+ * time work arrives, far more often than it expires, so disarming
+ * only clears the deadline and never touches the event heap.
+ *
+ * Arming reserves the queue's next key and pushes the event only when
+ * it is not in the heap already. An entry left by an earlier arming
+ * fires no later than the new deadline and re-arms under the current
+ * key (scheduleKeyed); a disarmed one just lapses. The callback thus
+ * runs in exactly the (when, key) slot a schedule() at arming time
+ * would have given it — the TimedChannel contract for one timer.
+ */
+class SleepTimer : public Event
+{
+  public:
+    SleepTimer(EventQueue &eq, std::function<void()> expire)
+        : Event("sleep"), eq_(eq), expire_(std::move(expire))
+    {}
+
+    ~SleepTimer() override;
+
+    /**
+     * Expire @p delta ticks from now, replacing any earlier arming.
+     * @pre the deadline is no earlier than a pending entry's (every
+     * caller arms with its unit's fixed sleep_after).
+     */
+    void armIn(Tick delta);
+
+    void disarm() { deadline_ = kTickNever; }
+
+    bool armed() const { return deadline_ != kTickNever; }
+
+    void execute() override;
+
+  private:
+    EventQueue &eq_;
+    std::function<void()> expire_;
+    Tick deadline_ = kTickNever;
+    std::uint64_t key_ = 0;      //!< key reserved by the current arming
+    std::uint64_t heapKey_ = 0;  //!< key of this event's heap entry
 };
 
 /**
@@ -249,7 +293,7 @@ class PollCore
     net::PacketSink &tx_;
     PowerMeter &power_;
 
-    CallbackEvent sleepEvent_;
+    SleepTimer sleepTimer_;
     /** Service completion for the single in-flight packet: intrusive
      *  (recycled in place) instead of a per-service one-shot. */
     CallbackEvent finishEvent_;
@@ -370,6 +414,7 @@ class Accelerator
   private:
     void pump();
     void finish(net::PacketPtr pkt);
+    void maybeSleep();
 
     EventQueue &eq_;
     Config cfg_;
@@ -379,7 +424,7 @@ class Accelerator
     PowerMeter &power_;
 
     nic::DpdkRing queue_;
-    CallbackEvent sleepEvent_;
+    SleepTimer sleepTimer_;
     bool inSlot_ = false;
     bool busyPipeline_ = false;
     bool deepSleep_ = false;

@@ -43,8 +43,11 @@ class EventQueue::OneShot : public Event
 
 EventQueue::~EventQueue()
 {
-    // Drop tombstones and orphan any still-scheduled events so their
-    // destructors don't assert; delete owned one-shot wrappers.
+    // A root vacated by a bare step() still holds the executed
+    // event's entry; fill it first. Then drop tombstones and orphan
+    // any still-scheduled events so their destructors don't assert;
+    // delete owned one-shot wrappers.
+    fillHole();
     for (Entry &e : heap_) {
         if (e.ev != nullptr) {
             e.ev->scheduled_ = false;
@@ -111,6 +114,7 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     --live_;
     ++dead_;
+    ++deschedules_;
     maybeCompact();
 }
 
@@ -123,6 +127,8 @@ EventQueue::maybeCompact()
     constexpr std::size_t kMinSlots = 64;
     if (dead_ <= live_ || heap_.size() < kMinSlots)
         return;
+    // The sweep below would keep a vacant root's stale entry.
+    fillHole();
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                                [](const Entry &e) {
                                    return e.ev == nullptr;
@@ -181,14 +187,15 @@ EventQueue::nextTick() const
     if (live_ == 0)
         return kTickNever;
     // Fast path: the heap root is live and therefore the minimum.
-    if (!heap_.empty() && heap_.front().ev != nullptr)
+    if (!hole_ && heap_.front().ev != nullptr)
         return heap_.front().when;
-    // The root is a tombstone; the heap property only partially
-    // orders the rest, so scan live entries for the true minimum.
+    // The root is a tombstone or vacant; the heap property only
+    // partially orders the rest, so scan live entries for the true
+    // minimum (past the vacant root's stale entry).
     Tick best = kTickNever;
-    for (const Entry &e : heap_)
-        if (e.ev != nullptr && e.when < best)
-            best = e.when;
+    for (std::size_t i = hole_ ? 1 : 0; i < heap_.size(); ++i)
+        if (heap_[i].ev != nullptr && heap_[i].when < best)
+            best = heap_[i].when;
     return best;
 }
 
@@ -196,42 +203,23 @@ EventQueue::nextTick() const
 bool
 EventQueue::step()
 {
-    while (!heap_.empty()) {
-        Entry top = heapPop();
-        if (top.ev == nullptr) {
-            --dead_;
-            continue;   // tombstone
-        }
-        assert(top.when >= now_);
-        now_ = top.when;
-        Event *ev = top.ev;
-        ev->scheduled_ = false;
-        --live_;
-        ++executed_;
-        ev->execute();
-        return true;
-    }
-    return false;
+    if (!settleRoot())
+        return false;
+    runRoot();
+    return true;
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     const std::uint64_t before = executed_;
-    while (!heap_.empty()) {
-        // Peek past tombstones.
-        while (!heap_.empty() && heap_.front().ev == nullptr) {
-            heapPop();
-            --dead_;
-        }
-        if (heap_.empty())
-            break;
+    while (settleRoot()) {
         if (heap_.front().when > until) {
             if (until != kTickNever)
                 now_ = until;
             return executed_ - before;
         }
-        step();
+        runRoot();
     }
     if (until != kTickNever && until > now_)
         now_ = until;
@@ -239,27 +227,61 @@ EventQueue::runUntil(Tick until)
 }
 
 // halint: hotpath
+bool
+EventQueue::settleRoot()
+{
+    fillHole();
+    while (!heap_.empty() && heap_.front().ev == nullptr) {
+        hole_ = true;   // a tombstone: drop it
+        fillHole();
+        --dead_;
+    }
+    return !heap_.empty();
+}
+
+// halint: hotpath
+void
+EventQueue::runRoot()
+{
+    // The root stays vacant while the event runs, so the push most
+    // events make from execute() (a channel re-arming its head, a
+    // core arming its completion) lands in the root with one
+    // sift-down.
+    const Entry top = heap_.front();
+    hole_ = true;
+    assert(top.when >= now_);
+    now_ = top.when;
+    top.ev->scheduled_ = false;
+    --live_;
+    ++executed_;
+    top.ev->execute();
+}
+
+// halint: hotpath
 void
 EventQueue::heapPush(Entry e)
 {
+    if (hole_) {
+        hole_ = false;
+        siftDown(0, e);
+        return;
+    }
     // halint: allow(HAL-W004) amortized heap growth; compaction keeps
     heap_.push_back(e); // slots within 2x of live so capacity settles
     siftUp(heap_.size() - 1);
 }
 
 // halint: hotpath
-EventQueue::Entry
-EventQueue::heapPop()
+void
+EventQueue::fillHole()
 {
-    Entry top = heap_.front();
-    Entry last = heap_.back();
+    if (!hole_)
+        return;
+    hole_ = false;
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_[0] = last;
-        setIndex(0);
-        siftDown(0);
-    }
-    return top;
+    if (!heap_.empty())
+        siftDown(0, last);
 }
 
 void
@@ -278,11 +300,11 @@ EventQueue::siftUp(std::size_t i)
     setIndex(i);
 }
 
+// halint: hotpath
 void
-EventQueue::siftDown(std::size_t i)
+EventQueue::siftDown(std::size_t i, Entry e)
 {
     const std::size_t n = heap_.size();
-    Entry e = heap_[i];
     for (;;) {
         std::size_t c = 2 * i + 1;
         if (c >= n)

@@ -187,6 +187,13 @@ class UniqueFn
  * timed work keeps only its head in the heap yet preserves exactly
  * the order it would have had with one heap entry per item — the
  * contract TimedChannel builds on.
+ *
+ * While an event executes, the heap root it came from stays vacant:
+ * the first push made during execute() is written straight into the
+ * root and sifted down once, instead of paying a pop's sift-down plus
+ * a push's sift-up. Every other reader of the heap fills the vacant
+ * root first. Pop order depends only on the (when, key) order, never
+ * on heap layout, so this cannot change execution order.
  */
 class EventQueue
 {
@@ -280,6 +287,10 @@ class EventQueue
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
+    /** Total pending events removed by deschedule() over the queue's
+     *  lifetime (each leaves a tombstone in the heap). */
+    std::uint64_t deschedules() const { return deschedules_; }
+
     /**
      * Events clamped to now() by the release-mode guard in
      * schedule(); nonzero means a component computed a past tick.
@@ -300,8 +311,9 @@ class EventQueue
     /** Idle one-shot wrappers currently held for reuse. */
     std::size_t poolSize() const { return pool_.size(); }
 
-    /** Heap slots including tombstones (for compaction tests). */
-    std::size_t heapSlots() const { return heap_.size(); }
+    /** Heap slots including tombstones, excluding a vacant root
+     *  (for compaction tests). */
+    std::size_t heapSlots() const { return heap_.size() - (hole_ ? 1 : 0); }
 
   private:
     struct Entry
@@ -322,9 +334,16 @@ class EventQueue
     friend class OneShot;
 
     void heapPush(Entry e);
-    Entry heapPop();
+    /** Move the last entry into a vacant root; no-op without one. */
+    void fillHole();
+    /** Fill a vacant root and drop root tombstones. @return true
+     *  when a live event sits at the root. */
+    bool settleRoot();
+    /** Execute the (live) root event, leaving its slot vacant. */
+    void runRoot();
     void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    /** Place @p e in slot @p i and sift it down. */
+    void siftDown(std::size_t i, Entry e);
 
     /** Record entry @p i's position in its event (tombstones skip). */
     void
@@ -350,7 +369,9 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::size_t live_ = 0;
     std::size_t dead_ = 0;   //!< tombstones still in heap_
+    bool hole_ = false;      //!< heap_[0] vacated by runRoot()
     std::uint64_t executed_ = 0;
+    std::uint64_t deschedules_ = 0;
     std::uint64_t pastClamps_ = 0;
     bool pooling_ = true;
     std::vector<OneShot *> pool_;

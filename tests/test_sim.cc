@@ -9,8 +9,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -290,6 +295,292 @@ TEST(EventQueue, RunUntilClampsTimeOnDrain)
     EXPECT_EQ(eq.now(), Tick{100});
     EXPECT_EQ(eq.runUntil(250), 0u);
     EXPECT_EQ(eq.now(), Tick{250});
+}
+
+namespace {
+
+/**
+ * Seeded random driver for the event queue, checked against a
+ * reference model: the map of pending (when, key) entries. The model
+ * mirrors the queue's key counter (every schedule() and reserveKey()
+ * takes the next key), so each executed event must be the model's
+ * minimum. Operations run both between steps and from inside
+ * execute(), where the heap root is vacant. With pooling off a
+ * one-shot wrapper is freed before its callable runs, so a compaction
+ * from that callable that kept the vacant root's stale entry would
+ * touch freed memory (an ASan report).
+ */
+class QueueModelDriver
+{
+  public:
+    static constexpr int kEvents = 96;
+    static constexpr std::size_t kMaxOneShots = 64;
+
+    QueueModelDriver(std::uint64_t seed, bool pooling) : rng_(seed)
+    {
+        for (int i = 0; i < kEvents; ++i)
+            evs_.push_back(std::make_unique<Probe>(*this, i));
+        eq_ = std::make_unique<EventQueue>();
+        eq_->setPoolingEnabled(pooling);
+    }
+
+    ~QueueModelDriver() { eq_.reset(); }   // events outlive the queue
+
+    /** One round of outside operations followed by one way of
+     *  advancing the queue. */
+    void
+    round()
+    {
+        randomOps(static_cast<int>(rng_.uniformInt(5)), false);
+        const double r = rng_.uniform();
+        if (r < 0.55) {
+            const bool had = !model_.empty();
+            expect(eq_->step() == had, "step() result vs model");
+        } else if (r < 0.85) {
+            const Tick until = eq_->now() + rng_.uniformInt(400);
+            const std::uint64_t before = executedSeen_;
+            const std::uint64_t n = eq_->runUntil(until);
+            expect(n == executedSeen_ - before, "runUntil() count");
+            expect(model_.empty() || model_.begin()->first.first > until,
+                   "runUntil() left an event at or before its bound");
+            expect(eq_->now() == until, "runUntil() clamps time");
+        } else {
+            checkPeek("between steps");
+        }
+    }
+
+    /** Drain the queue; the model must drain with it. */
+    void
+    drain()
+    {
+        eq_->run();
+        expect(model_.empty() && eq_->empty(), "drained queue vs model");
+    }
+
+    void
+    report() const
+    {
+        EXPECT_EQ(mismatches_, 0u) << firstMismatch_;
+        // The interesting interleavings must have happened.
+        EXPECT_GT(executedSeen_, 5000u);
+        EXPECT_GT(nestedPushes_, 1000u);
+        EXPECT_GT(compactionsWhileVacant_, 0u);
+        EXPECT_GT(keyedSchedules_, 100u);
+    }
+
+  private:
+    using Slot = std::pair<Tick, std::uint64_t>;
+
+    struct Probe : Event
+    {
+        Probe(QueueModelDriver &d, int id) : d_(d), id_(id) {}
+        void execute() override { d_.onExecute(id_); }
+        QueueModelDriver &d_;
+        int id_;
+    };
+
+    void
+    expect(bool ok, const std::string &what)
+    {
+        if (ok)
+            return;
+        if (mismatches_++ == 0) {
+            std::ostringstream os;
+            os << what << " at tick " << eq_->now() << " after "
+               << executedSeen_ << " events";
+            firstMismatch_ = os.str();
+        }
+    }
+
+    void
+    onExecute(int id)
+    {
+        ++executedSeen_;
+        expect(!model_.empty(), "executed an event the model lacks");
+        if (model_.empty())
+            return;
+        const auto it = model_.begin();
+        expect(it->first.first == eq_->now() && it->second == id,
+               "execution order differs from the (when, key) model");
+        if (id < kEvents)
+            pending_[id].reset();
+        model_.erase(it);
+        // While this runs the root is vacant: peek through it, then
+        // push, deschedule and compact around it.
+        if (rng_.chance(0.2))
+            checkPeek("inside execute()");
+        randomOps(static_cast<int>(rng_.uniformInt(4)), true);
+    }
+
+    void
+    checkPeek(const char *where)
+    {
+        const Tick want =
+            model_.empty() ? kTickNever : model_.begin()->first.first;
+        expect(eq_->nextTick() == want,
+               std::string("nextTick() ") + where);
+        expect(eq_->size() == model_.size(),
+               std::string("size() ") + where);
+        expect(eq_->heapSlots() >= eq_->size(),
+               std::string("heapSlots() ") + where);
+    }
+
+    Tick
+    randomWhen()
+    {
+        // Many same-tick collisions, so the key decides often.
+        return eq_->now() + (rng_.chance(0.3) ? 0 : rng_.uniformInt(300));
+    }
+
+    void
+    scheduleProbe(int id, bool inside)
+    {
+        const Tick when = randomWhen();
+        const Slot slot{when, ++seq_};
+        eq_->schedule(evs_[id].get(), when);
+        add(id, slot, inside);
+    }
+
+    void
+    add(int id, Slot slot, bool inside)
+    {
+        model_.emplace(slot, id);
+        if (id < kEvents)
+            pending_[id] = slot;
+        if (inside)
+            ++nestedPushes_;
+    }
+
+    void
+    unschedule(int id)
+    {
+        model_.erase(*pending_[id]);
+        pending_[id].reset();
+        eq_->deschedule(evs_[id].get());
+    }
+
+    void
+    randomOps(int n, bool inside)
+    {
+        for (int i = 0; i < n; ++i)
+            randomOp(inside);
+    }
+
+    void
+    randomOp(bool inside)
+    {
+        const int id = static_cast<int>(rng_.uniformInt(kEvents));
+        const bool on = pending_[id].has_value();
+        const double r = rng_.uniform();
+        if (r < 0.30) {
+            if (on)
+                unschedule(id);
+            else
+                scheduleProbe(id, inside);
+        } else if (r < 0.45) {
+            // reschedule(): deschedule (if pending) plus schedule.
+            const Tick when = randomWhen();
+            if (on)
+                model_.erase(*pending_[id]);
+            const Slot slot{when, ++seq_};
+            eq_->reschedule(evs_[id].get(), when);
+            add(id, slot, inside);
+        } else if (r < 0.55) {
+            const std::uint64_t key = eq_->reserveKey();
+            expect(key == ++seq_, "reserveKey() vs model key counter");
+            reserved_.push_back(key);
+        } else if (r < 0.70) {
+            if (on || reserved_.empty())
+                return;
+            // Any reserved key, oldest or newest.
+            const std::size_t k = rng_.uniformInt(reserved_.size());
+            const std::uint64_t key = reserved_[k];
+            reserved_.erase(reserved_.begin() +
+                            static_cast<std::ptrdiff_t>(k));
+            const Tick when = randomWhen();
+            eq_->scheduleKeyed(evs_[id].get(), when, key);
+            add(id, Slot{when, key}, inside);
+            ++keyedSchedules_;
+        } else if (r < 0.88) {
+            if (oneShots_ >= kMaxOneShots)
+                return;
+            const int fid = kEvents + nextFn_++;
+            const Tick when = randomWhen();
+            const Slot slot{when, ++seq_};
+            ++oneShots_;
+            eq_->scheduleFn(
+                [this, fid] {
+                    --oneShots_;
+                    onExecute(fid);
+                },
+                when);
+            add(fid, slot, inside);
+        } else if (r < 0.94) {
+            for (int j = 0; j < kEvents; ++j)
+                if (!pending_[j])
+                    scheduleProbe(j, inside);
+        } else {
+            // Deschedule every probe: tombstones outnumber live
+            // entries, so the queue compacts (inside execute(), with
+            // the root vacant, about half the time).
+            const std::size_t slots = eq_->heapSlots();
+            for (int j = 0; j < kEvents; ++j)
+                if (pending_[j])
+                    unschedule(j);
+            if (inside && eq_->heapSlots() < slots)
+                ++compactionsWhileVacant_;
+        }
+    }
+
+    Rng rng_;
+    std::vector<std::unique_ptr<Probe>> evs_;
+    std::unique_ptr<EventQueue> eq_;
+    std::map<Slot, int> model_;   //!< pending (when, key) -> id
+    std::optional<Slot> pending_[kEvents];
+    std::vector<std::uint64_t> reserved_;
+    std::uint64_t seq_ = 0;   //!< mirror of the queue's key counter
+    std::size_t oneShots_ = 0;
+    int nextFn_ = 0;
+    std::uint64_t executedSeen_ = 0;
+    std::uint64_t nestedPushes_ = 0;
+    std::uint64_t compactionsWhileVacant_ = 0;
+    std::uint64_t keyedSchedules_ = 0;
+    std::uint64_t mismatches_ = 0;
+    std::string firstMismatch_;
+};
+
+} // namespace
+
+TEST(EventQueue, RandomOpsMatchOrderedModel)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        QueueModelDriver d(seed, /*pooling=*/seed % 2 == 1);
+        for (int i = 0; i < 3000; ++i)
+            d.round();
+        d.drain();
+        d.report();
+    }
+}
+
+TEST(EventQueue, DestroyWithVacantRoot)
+{
+    // A bare step() whose event pushes nothing leaves the root vacant
+    // with the executed one-shot's stale entry in it; that wrapper is
+    // already back in the pool, so teardown must not free it twice
+    // (ASan reports a double free otherwise).
+    int fired = 0;
+    CallbackEvent pending([] {});
+    {
+        EventQueue eq;
+        eq.scheduleFn([&fired] { ++fired; }, 10);
+        eq.scheduleFn([&fired] { ++fired; }, 20);
+        eq.schedule(&pending, 30);
+        ASSERT_TRUE(eq.step());
+        EXPECT_EQ(eq.size(), 2u);
+        EXPECT_EQ(eq.nextTick(), 20u);
+    }
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(pending.scheduled());
 }
 
 TEST(Accumulator, Moments)
