@@ -497,7 +497,9 @@ BigUint::isProbablePrime(halsim::Rng &rng, int rounds) const
 bool
 MontgomeryContext::supports(const BigUint &m)
 {
-    return m.isOdd() && m > BigUint(1) && m.bitLength() <= kMaxBits;
+    // bitLength() >= 2 stands in for m > 1 without building a BigUint
+    // temporary, so the assert in the constructor allocates nothing.
+    return m.isOdd() && m.bitLength() >= 2 && m.bitLength() <= kMaxBits;
 }
 
 MontgomeryContext::MontgomeryContext(const BigUint &m) : m_(m)

@@ -33,9 +33,9 @@ mix64(std::uint64_t z)
  * @tparam K key type (hashable with std::hash, equality comparable)
  * @tparam V mapped type
  *
- * Deletion uses backward shifting instead of tombstones, so probe
- * sequences never degrade over time — important for the NAT table,
- * which churns entries constantly. Grows at 70% load.
+ * Deletion uses backward shifting instead of deleted-slot markers, so
+ * probe sequences never degrade over time — important for the NAT
+ * table, which churns entries constantly. Grows at 70% load.
  */
 template <typename K, typename V>
 class FixedMap

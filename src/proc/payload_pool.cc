@@ -5,6 +5,8 @@
 #include <exception>
 #include <utility>
 
+#include "sim/parallel.hh"
+
 namespace halsim::proc {
 
 namespace {
@@ -63,8 +65,7 @@ payloadWorkers()
 {
     if (t_workers)
         return *t_workers;
-    // Read once: hardware_concurrency() reads sysfs on every call.
-    static const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned hw = hardwareThreads();
     return hw > 1 ? std::min(hw - 1, kMaxPayloadWorkers) : 0;
 }
 

@@ -144,7 +144,7 @@ class SleepTimer : public Event
 {
   public:
     SleepTimer(EventQueue &eq, std::function<void()> expire)
-        : Event("sleep"), eq_(eq), expire_(std::move(expire))
+        : eq_(eq), expire_(std::move(expire))
     {}
 
     ~SleepTimer() override;

@@ -10,9 +10,8 @@
 #ifndef HALSIM_SIM_EVENT_HH
 #define HALSIM_SIM_EVENT_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "sim/types.hh"
@@ -33,7 +32,7 @@ class EventQueue;
 class Event
 {
   public:
-    explicit Event(std::string name = "event") : name_(std::move(name)) {}
+    Event() = default;
     virtual ~Event();
 
     Event(const Event &) = delete;
@@ -48,15 +47,10 @@ class Event
     /** True while the event sits in a queue. */
     bool scheduled() const { return scheduled_; }
 
-    /** Diagnostic name. */
-    const std::string &name() const { return name_; }
-
   private:
     friend class EventQueue;
 
-    std::string name_;
     Tick when_ = kTickNever;
-    std::uint64_t seq_ = 0;   //!< tie-break for same-tick ordering
     std::size_t heapIndex_ = 0;   //!< position in the owning queue's heap
     bool scheduled_ = false;
 };
@@ -68,12 +62,9 @@ class Event
 class CallbackEvent : public Event
 {
   public:
-    CallbackEvent() : Event("callback") {}
+    CallbackEvent() = default;
 
-    explicit CallbackEvent(std::function<void()> fn,
-                           std::string name = "callback")
-        : Event(std::move(name)), fn_(std::move(fn))
-    {}
+    explicit CallbackEvent(std::function<void()> fn) : fn_(std::move(fn)) {}
 
     /** Replace the callable (only while not scheduled). */
     void

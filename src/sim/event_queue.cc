@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <cassert>
 
 namespace halsim {
@@ -21,7 +20,7 @@ Event::~Event()
 class EventQueue::OneShot : public Event
 {
   public:
-    explicit OneShot(EventQueue &q) : Event("oneshot"), q_(q) {}
+    explicit OneShot(EventQueue &q) : q_(q) {}
 
     void arm(UniqueFn fn) { fn_ = std::move(fn); }
 
@@ -44,16 +43,14 @@ class EventQueue::OneShot : public Event
 EventQueue::~EventQueue()
 {
     // A root vacated by a bare step() still holds the executed
-    // event's entry; fill it first. Then drop tombstones and orphan
-    // any still-scheduled events so their destructors don't assert;
-    // delete owned one-shot wrappers.
+    // event's entry; fill it first. Then orphan the still-scheduled
+    // events so their destructors don't assert; delete owned one-shot
+    // wrappers.
     fillHole();
     for (Entry &e : heap_) {
-        if (e.ev != nullptr) {
-            e.ev->scheduled_ = false;
-            if (dynamic_cast<OneShot *>(e.ev) != nullptr)
-                delete e.ev;
-        }
+        e.ev->scheduled_ = false;
+        if (dynamic_cast<OneShot *>(e.ev) != nullptr)
+            delete e.ev;
     }
     for (OneShot *os : pool_)
         delete os;
@@ -74,10 +71,8 @@ EventQueue::schedule(Event *ev, Tick when)
     }
 
     ev->when_ = when;
-    ev->seq_ = ++seq_;
     ev->scheduled_ = true;
-    heapPush(Entry{when, ev->seq_, ev});
-    ++live_;
+    heapPush(Entry{when, ++seq_, ev});
 }
 
 // halint: hotpath
@@ -93,10 +88,8 @@ EventQueue::scheduleKeyed(Event *ev, Tick when, std::uint64_t key)
     }
 
     ev->when_ = when;
-    ev->seq_ = key;
     ev->scheduled_ = true;
     heapPush(Entry{when, key, ev});
-    ++live_;
 }
 
 void
@@ -105,42 +98,26 @@ EventQueue::deschedule(Event *ev)
     assert(ev != nullptr);
     if (!ev->scheduled_)
         return;
-    // Lazy removal in O(1): the event knows its heap slot, so
-    // tombstone it in place and let pops (or compaction) reclaim it.
+    // The heap must hold only scheduled entries before one is moved:
+    // fill a vacant root first, so its stale entry can be neither the
+    // last entry moved below nor a parent a sift compares against.
+    fillHole();
     const std::size_t idx = ev->heapIndex_;
     assert(idx < heap_.size() && heap_[idx].ev == ev &&
-           heap_[idx].seq == ev->seq_ && "heap index out of sync");
-    heap_[idx].ev = nullptr;
+           "heap index out of sync");
     ev->scheduled_ = false;
-    --live_;
-    ++dead_;
     ++deschedules_;
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Rebuilding costs O(n); triggering only when tombstones exceed
-    // live entries keeps the amortized cost per deschedule constant
-    // and the heap within 2x of its live size.
-    constexpr std::size_t kMinSlots = 64;
-    if (dead_ <= live_ || heap_.size() < kMinSlots)
+    // Move the last entry into the freed slot and restore the heap
+    // around it: it may order before the slot's parent (it came from
+    // another subtree) or after the slot's children.
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (idx == heap_.size())
         return;
-    // The sweep below would keep a vacant root's stale entry.
-    fillHole();
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [](const Entry &e) {
-                                   return e.ev == nullptr;
-                               }),
-                heap_.end());
-    // Pop order is fully determined by the (when, seq) total order,
-    // so rebuilding the heap cannot change execution order.
-    std::make_heap(heap_.begin(), heap_.end(),
-                   [](const Entry &a, const Entry &b) { return a > b; });
-    for (std::size_t i = 0; i < heap_.size(); ++i)
-        setIndex(i);
-    dead_ = 0;
+    if (idx > 0 && heap_[(idx - 1) / 2] > last)
+        siftUp(idx, last);
+    else
+        siftDown(idx, last);
 }
 
 void
@@ -181,24 +158,6 @@ EventQueue::scheduleFn(UniqueFn fn, Tick when)
     schedule(os, when);
 }
 
-Tick
-EventQueue::nextTick() const
-{
-    if (live_ == 0)
-        return kTickNever;
-    // Fast path: the heap root is live and therefore the minimum.
-    if (!hole_ && heap_.front().ev != nullptr)
-        return heap_.front().when;
-    // The root is a tombstone or vacant; the heap property only
-    // partially orders the rest, so scan live entries for the true
-    // minimum (past the vacant root's stale entry).
-    Tick best = kTickNever;
-    for (std::size_t i = hole_ ? 1 : 0; i < heap_.size(); ++i)
-        if (heap_[i].ev != nullptr && heap_[i].when < best)
-            best = heap_[i].when;
-    return best;
-}
-
 // halint: hotpath
 bool
 EventQueue::step()
@@ -231,11 +190,6 @@ bool
 EventQueue::settleRoot()
 {
     fillHole();
-    while (!heap_.empty() && heap_.front().ev == nullptr) {
-        hole_ = true;   // a tombstone: drop it
-        fillHole();
-        --dead_;
-    }
     return !heap_.empty();
 }
 
@@ -252,7 +206,6 @@ EventQueue::runRoot()
     assert(top.when >= now_);
     now_ = top.when;
     top.ev->scheduled_ = false;
-    --live_;
     ++executed_;
     top.ev->execute();
 }
@@ -266,9 +219,9 @@ EventQueue::heapPush(Entry e)
         siftDown(0, e);
         return;
     }
-    // halint: allow(HAL-W004) amortized heap growth; compaction keeps
-    heap_.push_back(e); // slots within 2x of live so capacity settles
-    siftUp(heap_.size() - 1);
+    // halint: allow(HAL-W004) amortized heap growth; the heap holds
+    heap_.push_back(e); // only scheduled events, so capacity settles
+    siftUp(heap_.size() - 1, e);
 }
 
 // halint: hotpath
@@ -285,9 +238,8 @@ EventQueue::fillHole()
 }
 
 void
-EventQueue::siftUp(std::size_t i)
+EventQueue::siftUp(std::size_t i, Entry e)
 {
-    Entry e = heap_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
         if (!(heap_[parent] > e))

@@ -176,10 +176,8 @@ class UniqueFn
  *
  * Events scheduled at the same tick execute in schedule order (FIFO),
  * which keeps runs bit-reproducible regardless of heap internals.
- * Descheduling is lazy: a descheduled event stays in the heap but is
- * skipped on pop, which keeps deschedule O(1) at the cost of a little
- * heap slack — the right trade for rate-limiter retimers that
- * reschedule often.
+ * Every event knows its heap slot, so deschedule removes it eagerly
+ * in O(log n) and the heap holds only scheduled events.
  *
  * Ordering is the total order (when, key) where a key is reserved at
  * schedule time. Keys can also be reserved up front (reserveKey) and
@@ -258,13 +256,10 @@ class EventQueue
     }
 
     /** True when no executable events remain. */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return size() == 0; }
 
-    /** Number of live (scheduled) events. */
-    std::size_t size() const { return live_; }
-
-    /** Tick of the next live event, or kTickNever when empty. */
-    Tick nextTick() const;
+    /** Number of scheduled events (a vacant root holds none). */
+    std::size_t size() const { return heap_.size() - (hole_ ? 1 : 0); }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -288,7 +283,7 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /** Total pending events removed by deschedule() over the queue's
-     *  lifetime (each leaves a tombstone in the heap). */
+     *  lifetime (each costs an O(log n) heap removal). */
     std::uint64_t deschedules() const { return deschedules_; }
 
     /**
@@ -297,7 +292,7 @@ class EventQueue
      */
     std::uint64_t pastClamps() const { return pastClamps_; }
 
-    // --- pooling / compaction controls (perf + A/B testing) ----------
+    // --- pooling controls (perf + A/B testing) ------------------------
 
     /**
      * Toggle recycling of one-shot wrapper events. Disabling reverts
@@ -310,10 +305,6 @@ class EventQueue
 
     /** Idle one-shot wrappers currently held for reuse. */
     std::size_t poolSize() const { return pool_.size(); }
-
-    /** Heap slots including tombstones, excluding a vacant root
-     *  (for compaction tests). */
-    std::size_t heapSlots() const { return heap_.size() - (hole_ ? 1 : 0); }
 
   private:
     struct Entry
@@ -336,39 +327,25 @@ class EventQueue
     void heapPush(Entry e);
     /** Move the last entry into a vacant root; no-op without one. */
     void fillHole();
-    /** Fill a vacant root and drop root tombstones. @return true
-     *  when a live event sits at the root. */
+    /** Fill a vacant root. @return true when an event sits at the
+     *  root. */
     bool settleRoot();
-    /** Execute the (live) root event, leaving its slot vacant. */
+    /** Execute the root event, leaving its slot vacant. */
     void runRoot();
-    void siftUp(std::size_t i);
+    /** Place @p e in slot @p i and sift it up. */
+    void siftUp(std::size_t i, Entry e);
     /** Place @p e in slot @p i and sift it down. */
     void siftDown(std::size_t i, Entry e);
 
-    /** Record entry @p i's position in its event (tombstones skip). */
-    void
-    setIndex(std::size_t i)
-    {
-        if (heap_[i].ev != nullptr)
-            heap_[i].ev->heapIndex_ = i;
-    }
+    /** Record entry @p i's position in its event. */
+    void setIndex(std::size_t i) { heap_[i].ev->heapIndex_ = i; }
 
     /** Return a fired wrapper to the pool (or free it). */
     void releaseOneShot(OneShot *os);
 
-    /**
-     * Rebuild the heap without tombstones once dead entries outnumber
-     * live ones; amortized O(1) per deschedule, and it bounds heap
-     * growth under retimer churn that would otherwise accumulate
-     * tombstones without limit.
-     */
-    void maybeCompact();
-
     std::vector<Entry> heap_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
-    std::size_t live_ = 0;
-    std::size_t dead_ = 0;   //!< tombstones still in heap_
     bool hole_ = false;      //!< heap_[0] vacated by runRoot()
     std::uint64_t executed_ = 0;
     std::uint64_t deschedules_ = 0;

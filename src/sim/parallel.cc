@@ -12,8 +12,9 @@ namespace halsim {
 unsigned
 hardwareThreads()
 {
+    // Read once: hardware_concurrency() reads sysfs on every call.
     // halint: allow(HAL-W007) sweep harness, not the DES core
-    const unsigned n = std::thread::hardware_concurrency();
+    static const unsigned n = std::thread::hardware_concurrency();
     return n > 0 ? n : 1;
 }
 

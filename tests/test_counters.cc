@@ -3,11 +3,11 @@
  * Exact per-run counters at fixed HAL operating points: the events
  * run() executes, the heap allocations made while the server is built
  * and while it runs, the LBP threshold steps, and the events run()
- * deschedules (each leaves a tombstone in the event heap). The simulator is
- * seeded and the payload kernels run inline, so every count is a
- * deterministic function of the code: one extra event or one extra
- * allocation per packet fails the test, where a wall-clock gate
- * would not see it. The points are perfbench's engine and kernels
+ * deschedules (each an O(log n) removal from the event heap). The
+ * simulator is seeded and the payload kernels run inline, so every
+ * count is a deterministic function of the code: one extra event or
+ * one extra allocation per packet fails the test, where a wall-clock
+ * gate would not see it. The points are perfbench's engine and kernels
  * points and one control point, each with a shorter window.
  *
  * After a deliberate change to one of these counts, copy the measured
