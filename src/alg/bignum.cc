@@ -522,53 +522,86 @@ MontgomeryContext::toWords(const BigUint &x, Words &out)
                       << (32 * (i % 2));
 }
 
-/**
- * Montgomery CIOS multiply-reduce: out = a*b*R^-1 mod m, all operands
- * n words, a, b < m.
- */
-void
-MontgomeryContext::montMul(const std::uint64_t *a, const std::uint64_t *b,
-                           std::uint64_t *out) const
+namespace {
+
+/** Crypto's 512-bit prime: the one width compiled with a fixed count. */
+constexpr std::size_t kFixedWords = 8;
+
+/** A 192-bit column accumulator: 128 low bits and a carry word. */
+struct Accumulator
 {
-    const std::size_t n = n_;
-    const std::uint64_t *m = m64_.data();
-    std::array<std::uint64_t, kMaxWords + 2> t;
-    std::fill_n(t.begin(), n + 2, 0);
+    Wide lo = 0;
+    std::uint64_t hi = 0;
 
-    for (std::size_t i = 0; i < n; ++i) {
-        // t += a[i] * b
-        const std::uint64_t ai = a[i];
-        std::uint64_t carry = 0;
-        for (std::size_t j = 0; j < n; ++j) {
-            const Wide cur = static_cast<Wide>(ai) * b[j] + t[j] + carry;
-            t[j] = static_cast<std::uint64_t>(cur);
-            carry = static_cast<std::uint64_t>(cur >> 64);
-        }
-        Wide cur = static_cast<Wide>(t[n]) + carry;
-        t[n] = static_cast<std::uint64_t>(cur);
-        t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
-
-        // Reduce: add mf * m, which clears t[0], and shift one word.
-        const std::uint64_t mf = t[0] * minv_;
-        carry = static_cast<std::uint64_t>(
-            (static_cast<Wide>(mf) * m[0] + t[0]) >> 64);
-        for (std::size_t j = 1; j < n; ++j) {
-            const Wide c2 = static_cast<Wide>(mf) * m[j] + t[j] + carry;
-            t[j - 1] = static_cast<std::uint64_t>(c2);
-            carry = static_cast<std::uint64_t>(c2 >> 64);
-        }
-        cur = static_cast<Wide>(t[n]) + carry;
-        t[n - 1] = static_cast<std::uint64_t>(cur);
-        t[n] = t[n + 1] + static_cast<std::uint64_t>(cur >> 64);
+    void
+    add(Wide p)
+    {
+        lo += p;
+        hi += lo < p;
     }
 
-    // t[0..n] < 2m; subtract m once if needed.
-    bool ge = t[n] != 0;
+    void
+    mac(std::uint64_t x, std::uint64_t y)
+    {
+        add(static_cast<Wide>(x) * y);
+    }
+
+    /** Take the low word and shift the accumulator down one word. */
+    std::uint64_t
+    shift()
+    {
+        const auto w = static_cast<std::uint64_t>(lo);
+        lo = lo >> 64 | static_cast<Wide>(hi) << 64;
+        hi = 0;
+        return w;
+    }
+};
+
+/**
+ * Product-scanning (Comba) Montgomery reduction: out = x * R^-1 mod m
+ * for the 2n-word product x < m * R whose column i (the terms
+ * x_j * y_(i-j) for j in [lo, i - lo], lo = max(0, i - n + 1))
+ * @p column adds to the accumulator. Each column also takes its
+ * reduction terms q_j * m_(i-j), so the accumulator is the only
+ * running state. @p out is written after the last call to @p column,
+ * so it may alias the operands. @p N is the word count, or 0 to use
+ * @p n.
+ */
+template <std::size_t N, typename Column>
+void
+combaRedc(std::size_t n, const std::uint64_t *m, std::uint64_t minv,
+          Column column, std::uint64_t *out)
+{
+    if constexpr (N != 0)
+        n = N;
+    constexpr std::size_t kWords =
+        N != 0 ? N : MontgomeryContext::kMaxWords;
+    std::array<std::uint64_t, kWords> q{};   // reduction multipliers
+    std::array<std::uint64_t, kWords> r{};   // x * R^-1, below 2m
+    Accumulator acc;
+    for (std::size_t i = 0; i < n; ++i) {
+        column(acc, 0, i);
+        for (std::size_t j = 0; j < i; ++j)
+            acc.mac(q[j], m[i - j]);
+        q[i] = static_cast<std::uint64_t>(acc.lo) * minv;
+        acc.mac(q[i], m[0]);   // clears the low word
+        acc.shift();
+    }
+    for (std::size_t i = n; i < 2 * n; ++i) {
+        column(acc, i - n + 1, i);
+        for (std::size_t j = i - n + 1; j < n; ++j)
+            acc.mac(q[j], m[i - j]);
+        r[i - n] = acc.shift();
+    }
+
+    // r plus the carry word below 2^(64 n) is under 2m; subtract m
+    // once if needed.
+    bool ge = acc.lo != 0;
     if (!ge) {
         ge = true;
         for (std::size_t i = n; i-- > 0;) {
-            if (t[i] != m[i]) {
-                ge = t[i] > m[i];
+            if (r[i] != m[i]) {
+                ge = r[i] > m[i];
                 break;
             }
         }
@@ -576,10 +609,47 @@ MontgomeryContext::montMul(const std::uint64_t *a, const std::uint64_t *b,
     std::uint64_t borrow = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t sub = ge ? m[i] : 0;
-        const Wide diff = static_cast<Wide>(t[i]) - sub - borrow;
+        const Wide diff = static_cast<Wide>(r[i]) - sub - borrow;
         out[i] = static_cast<std::uint64_t>(diff);
         borrow = static_cast<std::uint64_t>(diff >> 64) & 1;
     }
+}
+
+} // namespace
+
+void
+MontgomeryContext::montMul(const std::uint64_t *a, const std::uint64_t *b,
+                           std::uint64_t *out) const
+{
+    const auto column = [a, b](Accumulator &acc, std::size_t lo,
+                               std::size_t i) {
+        for (std::size_t j = lo; j <= i - lo; ++j)
+            acc.mac(a[j], b[i - j]);
+    };
+    if (n_ == kFixedWords)
+        combaRedc<kFixedWords>(n_, m64_.data(), minv_, column, out);
+    else
+        combaRedc<0>(n_, m64_.data(), minv_, column, out);
+}
+
+void
+MontgomeryContext::montSqr(const std::uint64_t *a, std::uint64_t *out) const
+{
+    // a_j * a_k and a_k * a_j are one product, added twice.
+    const auto column = [a](Accumulator &acc, std::size_t lo,
+                            std::size_t i) {
+        for (std::size_t j = lo; 2 * j < i; ++j) {
+            const Wide p = static_cast<Wide>(a[j]) * a[i - j];
+            acc.add(p);
+            acc.add(p);
+        }
+        if (i % 2 == 0)
+            acc.mac(a[i / 2], a[i / 2]);
+    };
+    if (n_ == kFixedWords)
+        combaRedc<kFixedWords>(n_, m64_.data(), minv_, column, out);
+    else
+        combaRedc<0>(n_, m64_.data(), minv_, column, out);
 }
 
 template <typename BitFn>
@@ -593,7 +663,7 @@ MontgomeryContext::powWords(const Words &b, unsigned ebits, BitFn bit,
 
     Words acc = r1_;
     for (unsigned i = ebits; i-- > 0;) {
-        montMul(acc.data(), acc.data(), acc.data());
+        montSqr(acc.data(), acc.data());
         if (bit(i))
             montMul(acc.data(), bm.data(), acc.data());
     }

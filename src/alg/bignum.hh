@@ -105,9 +105,10 @@ class BigUint
 /**
  * Montgomery arithmetic for one odd modulus: R^2 mod m and
  * -m^-1 mod 2^64 are computed once, so an exponentiation needs no
- * division. Works on 64-bit words (CIOS with 128-bit products) in
- * fixed stack arrays, for moduli up to kMaxBits bits. The Words
- * overloads never touch the heap, for per-packet callers.
+ * division. Works on 64-bit words (product-scanning Comba kernels
+ * with 128-bit products and a dedicated squaring) in fixed stack
+ * arrays, for moduli up to kMaxBits bits. The Words overloads never
+ * touch the heap, for per-packet callers.
  */
 class MontgomeryContext
 {
@@ -151,6 +152,9 @@ class MontgomeryContext
     /** out = a * b / R mod m; a, b < m. @p out may alias either. */
     void montMul(const std::uint64_t *a, const std::uint64_t *b,
                  std::uint64_t *out) const;
+
+    /** out = a * a / R mod m; a < m. @p out may alias @p a. */
+    void montSqr(const std::uint64_t *a, std::uint64_t *out) const;
 
     BigUint m_;
     std::size_t n_ = 0;          //!< 64-bit words in m

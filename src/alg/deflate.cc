@@ -641,28 +641,43 @@ Deflater::compress(std::span<const std::uint8_t> input,
         alt_.resize(bound);
     }
 
-    // Hash chains over 3-byte prefixes. A head or link below base_
-    // belongs to an earlier input and reads as "no candidate".
+    // Hash chains over 3-byte prefixes, built in one pass before any
+    // matching: prev_[i] is the nearest earlier position with i's
+    // hash, so a search at i starts there and never sees i itself
+    // (distance 0) or a later position. A head or link below base_
+    // belongs to an earlier input and reads as "no candidate". The
+    // rolling window holds in[i..i+2] as one 24-bit value.
     const std::uint32_t base = base_;
-    auto hash3 = [&](std::size_t i) {
-        const std::uint32_t h = (std::uint32_t{in[i]} << 16) ^
-                                (std::uint32_t{in[i + 1]} << 8) ^
-                                in[i + 2];
-        return (h * 2654435761u) >> (32 - kHashBits);
-    };
+    if (n >= kMinMatch) {
+        std::uint32_t window =
+            std::uint32_t{in[0]} << 8 | std::uint32_t{in[1]};
+        for (std::size_t i = 0; i + kMinMatch <= n; ++i) {
+            window = (window << 8 | in[i + 2]) & 0xffffffu;
+            std::uint32_t &head =
+                head_[(window * 2654435761u) >> (32 - kHashBits)];
+            prev_[i] = head;
+            head = base + static_cast<std::uint32_t>(i);
+        }
+    }
 
-    // Longest match among the chain's first max_chain candidates
-    // (nearest first; the first of equal lengths wins). A candidate
-    // that differs at best_len cannot beat it, so it is skipped
-    // without a full compare, as zlib's scan_end test does.
-    auto findMatch = [&](std::size_t pos, int &best_dist) {
-        int best_len = 0;
-        best_dist = 0;
+    // Longest match at pos strictly longer than @p floor among the
+    // chain's first max_chain candidates (nearest first; the first of
+    // equal lengths wins), or 0; best_dist is written only when a
+    // match is returned. The lazy probe passes the current match
+    // length, as zlib's prev_length; matches under kMinMatch never
+    // count, so they are below the floor too. A candidate that
+    // differs at best_len cannot beat it, so it is skipped without a
+    // full compare, as zlib's scan_end test does.
+    auto findMatch = [&](std::size_t pos, int floor, int &best_dist) {
         if (pos + kMinMatch > n)
             return 0;
         const int cap =
             static_cast<int>(std::min<std::size_t>(kMaxMatch, n - pos));
-        std::uint32_t cand = head_[hash3(pos)];
+        floor = std::max(floor, kMinMatch - 1);
+        if (floor >= cap)
+            return 0;
+        int best_len = floor;
+        std::uint32_t cand = prev_[pos];
         unsigned chain = cfg.max_chain;
         while (cand >= base && chain-- > 0) {
             const std::size_t cpos = cand - base;
@@ -680,48 +695,28 @@ Deflater::compress(std::span<const std::uint8_t> input,
             }
             cand = prev_[cpos];
         }
-        return best_len >= kMinMatch ? best_len : 0;
-    };
-
-    // Positions [0, inserted) are registered in the hash chains. A
-    // position is only registered once we have moved past it, so a
-    // position can never match against itself (distance 0).
-    std::size_t inserted = 0;
-    auto insertThrough = [&](std::size_t end) {
-        for (; inserted < end && inserted < n; ++inserted) {
-            if (inserted + kMinMatch <= n) {
-                std::uint32_t &head = head_[hash3(inserted)];
-                prev_[inserted] = head;
-                head = base + static_cast<std::uint32_t>(inserted);
-            }
-        }
+        return best_len > floor ? best_len : 0;
     };
 
     std::size_t ntok = 0;
     std::size_t pos = 0;
     while (pos < n) {
-        insertThrough(pos);
         int dist = 0;
-        int len = findMatch(pos, dist);
-        if (len > 0 && cfg.lazy_match && pos + 1 < n) {
+        int len = findMatch(pos, 0, dist);
+        if (len > 0 && cfg.lazy_match) {
             // One-step lazy evaluation, as zlib does: if the next
             // position has a strictly longer match, emit a literal
             // and take that one instead.
-            insertThrough(pos + 1);
-            int dist2 = 0;
-            const int len2 = findMatch(pos + 1, dist2);
-            if (len2 > len) {
+            if (const int len2 = findMatch(pos + 1, len, dist)) {
                 tokens_[ntok++] = {in[pos], 0};
                 ++pos;
                 len = len2;
-                dist = dist2;
             }
         }
 
         if (len > 0) {
             tokens_[ntok++] = {static_cast<std::uint16_t>(len),
                                static_cast<std::uint16_t>(dist)};
-            insertThrough(pos + static_cast<std::size_t>(len));
             pos += static_cast<std::size_t>(len);
         } else {
             tokens_[ntok++] = {in[pos], 0};

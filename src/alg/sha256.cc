@@ -28,6 +28,31 @@ rotr(std::uint32_t x, int n)
     return (x >> n) | (x << (32 - n));
 }
 
+/** Big-endian 32-bit load; compilers emit one load and a byte swap. */
+std::uint32_t
+loadBe32(const std::uint8_t *p)
+{
+    return std::uint32_t{p[0]} << 24 | std::uint32_t{p[1]} << 16 |
+           std::uint32_t{p[2]} << 8 | p[3];
+}
+
+/**
+ * One compression round with the working variables passed in their
+ * current roles: the new e lands in @p d and the new a in @p h, so
+ * the caller rotates the roles instead of moving eight values.
+ */
+inline void
+round(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t &d,
+      std::uint32_t e, std::uint32_t f, std::uint32_t g, std::uint32_t &h,
+      std::uint32_t kw)
+{
+    const std::uint32_t t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
+                             ((e & f) ^ (~e & g)) + kw;
+    d += t1;
+    h = t1 + (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) +
+        ((a & b) ^ (a & c) ^ (b & c));
+}
+
 } // namespace
 
 void
@@ -67,17 +92,17 @@ Sha256::update(std::span<const std::uint8_t> data)
 Sha256Digest
 Sha256::finish()
 {
-    const std::uint64_t bits = totalBits_;
-    const std::uint8_t pad = 0x80;
-    update(std::span<const std::uint8_t>(&pad, 1));
-    const std::uint8_t zero = 0x00;
-    // totalBits_ is garbage from here; padding length math uses bufLen_.
-    while (bufLen_ != 56)
-        update(std::span<const std::uint8_t>(&zero, 1));
-    std::uint8_t lenb[8];
+    // 0x80, zeros, then the 64-bit big-endian bit count in the last 8
+    // bytes of a block: a second block when fewer than 9 bytes are free.
+    buf_[bufLen_] = 0x80;
+    std::memset(buf_.data() + bufLen_ + 1, 0, 63 - bufLen_);
+    if (bufLen_ >= 56) {
+        processBlock(buf_.data());
+        std::memset(buf_.data(), 0, 56);
+    }
     for (int i = 0; i < 8; ++i)
-        lenb[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    update(std::span<const std::uint8_t>(lenb, 8));
+        buf_[56 + i] = static_cast<std::uint8_t>(totalBits_ >> (56 - 8 * i));
+    processBlock(buf_.data());
 
     Sha256Digest d;
     for (int i = 0; i < 8; ++i) {
@@ -93,12 +118,8 @@ void
 Sha256::processBlock(const std::uint8_t *block)
 {
     std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) {
-        w[i] = (std::uint32_t{block[4 * i]} << 24) |
-               (std::uint32_t{block[4 * i + 1]} << 16) |
-               (std::uint32_t{block[4 * i + 2]} << 8) |
-               block[4 * i + 3];
-    }
+    for (int i = 0; i < 16; ++i)
+        w[i] = loadBe32(block + 4 * i);
     for (int i = 16; i < 64; ++i) {
         const std::uint32_t s0 =
             rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
@@ -109,21 +130,15 @@ Sha256::processBlock(const std::uint8_t *block)
 
     std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
     std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
+    for (int i = 0; i < 64; i += 8) {
+        round(a, b, c, d, e, f, g, h, kK[i] + w[i]);
+        round(h, a, b, c, d, e, f, g, kK[i + 1] + w[i + 1]);
+        round(g, h, a, b, c, d, e, f, kK[i + 2] + w[i + 2]);
+        round(f, g, h, a, b, c, d, e, kK[i + 3] + w[i + 3]);
+        round(e, f, g, h, a, b, c, d, kK[i + 4] + w[i + 4]);
+        round(d, e, f, g, h, a, b, c, kK[i + 5] + w[i + 5]);
+        round(c, d, e, f, g, h, a, b, kK[i + 6] + w[i + 6]);
+        round(b, c, d, e, f, g, h, a, kK[i + 7] + w[i + 7]);
     }
     h_[0] += a;
     h_[1] += b;

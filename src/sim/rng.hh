@@ -13,6 +13,8 @@
 #define HALSIM_SIM_RNG_HH
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 
 namespace halsim {
@@ -27,10 +29,27 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double
@@ -40,7 +59,19 @@ class Rng
     }
 
     /** Uniform integer in [0, n); @p n must be > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        assert(n > 0);
+        // Rejection sampling to remove modulo bias.
+        const std::uint64_t limit =
+            ~std::uint64_t{0} - (~std::uint64_t{0} % n);
+        std::uint64_t v;
+        do {
+            v = next();
+        } while (v >= limit);
+        return v % n;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t

@@ -199,6 +199,82 @@ TEST(Deflate, StoredLenMismatchRejected)
     EXPECT_THROW(deflateDecompress(stream), std::runtime_error);
 }
 
+// Locks the encoder's output bytes for every config shape, not only
+// comp's (ByteIdentity.CompressResponses). The digests were recorded
+// from the encoder that inserted each position into the hash chains
+// just before matching past it; the one-pass chain build must keep
+// every token, so any change here means the tokenizer moved.
+TEST(Deflate, OutputBytesPinnedAcrossConfigs)
+{
+    using halsim::alg::makeSilesiaLike;
+    std::vector<std::vector<std::uint8_t>> inputs = {
+        {},
+        bytesOf("ab"),
+        bytesOf("abc"),
+        makeSilesiaLike(1458, 5),
+        makeSilesiaLike(40000, 6),    // past the 32 KiB window
+        makeSilesiaLike(100000, 7),   // past 64 KiB
+        std::vector<std::uint8_t>(3000, 0),
+    };
+    std::vector<std::uint8_t> cycle;
+    for (int i = 0; i < 5000; ++i)
+        cycle.push_back(static_cast<std::uint8_t>("abcab"[i % 5]));
+    inputs.push_back(cycle);
+    Rng rng(31);
+    for (std::size_t size : {std::size_t{1458}, std::size_t{70000}}) {
+        // Incompressible: the stored fallback, in two blocks at 70000.
+        std::vector<std::uint8_t> noise(size);
+        for (auto &b : noise)
+            b = static_cast<std::uint8_t>(rng.next());
+        inputs.push_back(noise);
+    }
+    // One block repeated just inside the window's reach.
+    auto edge = makeSilesiaLike(500, 9);
+    const auto filler = makeSilesiaLike(32000, 10);
+    const auto block = edge;
+    edge.insert(edge.end(), filler.begin(), filler.end());
+    edge.insert(edge.end(), block.begin(), block.end());
+    inputs.push_back(edge);
+
+    struct Case
+    {
+        const char *name;
+        DeflateConfig cfg;
+        std::uint64_t digest;
+    };
+    DeflateConfig lazy_off;
+    lazy_off.lazy_match = false;
+    DeflateConfig chain1_fixed;
+    chain1_fixed.max_chain = 1;
+    chain1_fixed.allow_dynamic = false;
+    DeflateConfig chain16_fixed;
+    chain16_fixed.max_chain = 16;
+    chain16_fixed.allow_dynamic = false;
+    const Case cases[] = {
+        {"default", DeflateConfig{}, 0x43ef49b4b51679d3ull},
+        {"lazy off", lazy_off, 0xfa68a0a1184ad1ecull},
+        {"max_chain 1, fixed", chain1_fixed, 0x8b6e35d90b777ff3ull},
+        {"max_chain 16, fixed", chain16_fixed, 0xd7e322eb4d96f268ull},
+    };
+
+    // One Deflater for every call, so the head-table tags of earlier
+    // inputs are in play too.
+    halsim::alg::Deflater deflater;
+    for (const Case &c : cases) {
+        std::uint64_t h = 0xcbf29ce484222325ull;   // FNV-1a 64
+        for (const auto &in : inputs) {
+            const auto out = deflater.compress(in, c.cfg);
+            ASSERT_EQ(deflateDecompress({out.begin(), out.end()}), in)
+                << c.name << ", " << in.size() << " B";
+            for (std::uint8_t b : out) {
+                h ^= b;
+                h *= 0x100000001b3ull;
+            }
+        }
+        EXPECT_EQ(h, c.digest) << c.name << ": 0x" << std::hex << h;
+    }
+}
+
 /** Round-trip sweep across sizes and chain depths. */
 class DeflateSweep
     : public ::testing::TestWithParam<std::tuple<int, unsigned>>

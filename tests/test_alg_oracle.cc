@@ -377,10 +377,11 @@ schoolbookModexp(const BigUint &base, const BigUint &e, const BigUint &m)
 TEST(ModexpOracle, MatchesSchoolbookAcrossSizes)
 {
     Rng rng(41);
-    // 33..2048 bits: odd and even 32-bit limb counts on either side of
-    // each 64-bit word boundary.
+    // 33..4096 bits (MontgomeryContext::kMaxBits): odd and even 32-bit
+    // limb counts on either side of each 64-bit word boundary.
     for (unsigned bits : {33u, 63u, 64u, 65u, 96u, 127u, 160u, 255u, 256u,
-                          257u, 512u, 513u, 768u, 1023u, 1056u, 2048u}) {
+                          257u, 512u, 513u, 768u, 1023u, 1056u, 2048u,
+                          3000u, 4095u, 4096u}) {
         for (int parity = 0; parity < 2; ++parity) {
             BigUint m = BigUint::randomBits(bits, rng);
             if (m.isOdd() != (parity == 1))
@@ -406,6 +407,85 @@ TEST(ModexpOracle, MatchesSchoolbookAcrossSizes)
                 EXPECT_EQ(ctx.modexp(b, e), schoolbookModexp(b, e, m))
                     << bits << "-bit full exponent";
             }
+        }
+    }
+}
+
+namespace {
+
+using Words = alg::MontgomeryContext::Words;
+
+Words
+wordsOf(const BigUint &x)
+{
+    Words w{};
+    const Bytes be = x.toBytes();
+    for (std::size_t k = 0; k < be.size(); ++k)
+        w[k / 8] |= std::uint64_t{be[be.size() - 1 - k]} << (8 * (k % 8));
+    return w;
+}
+
+BigUint
+bigOf(const Words &w)
+{
+    Bytes be;
+    for (std::size_t k = 8 * w.size(); k-- > 0;)
+        be.push_back(static_cast<std::uint8_t>(w[k / 8] >> (8 * (k % 8))));
+    return BigUint::fromBytes(be);
+}
+
+/** A random odd modulus of exactly @p bits bits. Not a prime: a
+ *  prime search would itself run modexp, which these tests check. */
+BigUint
+oddModulus(unsigned bits, Rng &rng)
+{
+    const BigUint m = BigUint::randomBits(bits, rng);
+    return m.isOdd() ? m : m + BigUint(1);
+}
+
+} // namespace
+
+TEST(ModexpOracle, WordsOutputMayAliasInputs)
+{
+    // The Words overloads write their result after the last read of
+    // their operands, so a == b == out is a squaring in place.
+    Rng rng(44);
+    const BigUint m = oddModulus(512, rng);
+    const alg::MontgomeryContext ctx(m);
+    for (int k = 0; k < 16; ++k) {
+        const BigUint a = BigUint::randomBelow(m, rng);
+        Words w = wordsOf(a);
+        ctx.mulModWords(w, w, w);
+        EXPECT_EQ(bigOf(w), (a * a) % m);
+
+        const BigUint e = BigUint::randomBits(64, rng);
+        w = wordsOf(a);
+        const std::uint64_t ew[] = {e.toUint64()};
+        ctx.modexpWords(w, ew, w);
+        EXPECT_EQ(bigOf(w), schoolbookModexp(a, e, m));
+    }
+}
+
+TEST(ModexpOracle, SquaringMatchesGenericMultiply)
+{
+    // modexpWords(a, 2) squares a's Montgomery form with montSqr;
+    // mulModWords(a, a) takes the generic product. At 512 bits both
+    // run the fixed 8-word kernels, at 768 bits the runtime-width
+    // ones.
+    Rng rng(45);
+    for (unsigned bits : {512u, 768u}) {
+        const BigUint m = oddModulus(bits, rng);
+        const alg::MontgomeryContext ctx(m);
+        const std::uint64_t two[] = {2};
+        for (int k = 0; k < 64; ++k) {
+            BigUint a = BigUint::randomBelow(m, rng);
+            if (k == 0)
+                a = m - BigUint(1);   // the largest operand
+            Words sq{}, mul{};
+            ctx.modexpWords(wordsOf(a), two, sq);
+            ctx.mulModWords(wordsOf(a), wordsOf(a), mul);
+            ASSERT_EQ(sq, mul) << bits << "-bit a=" << a.toHex();
+            EXPECT_EQ(bigOf(sq), (a * a) % m);
         }
     }
 }
