@@ -742,17 +742,13 @@ oakley768()
 BigUint
 prime512()
 {
-    // Deterministically generated once: search upward from a fixed
-    // random 512-bit odd start until Miller-Rabin accepts.
-    static const BigUint p = [] {
-        halsim::Rng rng(0x512512);
-        BigUint c = BigUint::randomBits(512, rng);
-        if (!c.isOdd())
-            c = c + BigUint(1);
-        while (!c.isProbablePrime(rng, 12))
-            c = c + BigUint(2);
-        return c;
-    }();
+    // The first probable prime at or above the odd 512-bit start
+    // randomBits(512) draws from Rng(0x512512), committed as a
+    // constant so that no modexp runs to find it (test_alg_bignum
+    // repeats the search, bounded by this value).
+    static const BigUint p = BigUint::fromHex(
+        "CFECD491AEB2AAF04D590A1BCC4BBE11C2E43401B7967208C6D225F366682FD2"
+        "7FA549D54AC51E5CA684E10E5952D57A77469EEE272017D578300FC9407E31D9");
     return p;
 }
 

@@ -325,18 +325,10 @@ ServerSystem::ServerSystem(EventQueue &eq, ServerConfig cfg)
             watchdog_ = std::make_unique<HealthWatchdog>(
                 eq_, wc, snic_.get(), host_.get(), director_.get(),
                 lbp_.get(), [this] {
-                    std::uint64_t d = 0;
-                    if (snic_ != nullptr)
-                        d += snic_->drops();
-                    if (host_ != nullptr)
-                        d += host_->drops();
-                    if (clientLink_ != nullptr)
-                        d += clientLink_->drops() +
-                             clientLink_->faultDrops();
-                    if (returnLink_ != nullptr)
-                        d += returnLink_->drops() +
-                             returnLink_->faultDrops();
-                    return d;
+                    return processorDrops() + clientLink_->drops() +
+                           clientLink_->faultDrops() +
+                           returnLink_->drops() +
+                           returnLink_->faultDrops();
                 });
         }
         // The LBP occupies one SNIC core; the HLB burns its FPGA
@@ -682,11 +674,16 @@ ServerSystem::governorTotals() const
 }
 
 std::uint64_t
-ServerSystem::totalDrops() const
+ServerSystem::processorDrops() const
 {
     return (snic_ != nullptr ? snic_->drops() : 0) +
-           (host_ != nullptr ? host_->drops() : 0) +
-           (slb_ != nullptr ? slb_->drops() : 0) +
+           (host_ != nullptr ? host_->drops() : 0);
+}
+
+std::uint64_t
+ServerSystem::totalDrops() const
+{
+    return processorDrops() + (slb_ != nullptr ? slb_->drops() : 0) +
            clientLink_->drops() + clientLink_->faultDrops() +
            returnLink_->faultDrops();
 }
@@ -754,7 +751,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
 
     eq_.runUntil(measure_start);
 
-    // Reset all statistics at the warmup boundary.
+    // Open every component's window at the warmup boundary.
     client_.resetStats();
     extraPower_.reset();
     if (snic_ != nullptr)
@@ -772,6 +769,7 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
     const std::uint64_t host_base =
         host_ != nullptr ? host_->processedFrames() : 0;
     const std::uint64_t drops_base = totalDrops();
+    const std::uint64_t proc_drops_base = processorDrops();
 
     // Energy/SLO windows open at the same boundary the meters were
     // just reset at (the ledger snapshots extraPower_'s freshly
@@ -821,7 +819,9 @@ ServerSystem::run(std::unique_ptr<net::RateProcess> rate, Tick warmup,
                     snic_base;
     r.host_frames = (host_ != nullptr ? host_->processedFrames() : 0) -
                     host_base;
-    r.drops = totalDrops();
+    // Processor and SLB drops count from the warmup boundary, link
+    // drops from construction.
+    r.drops = totalDrops() - proc_drops_base;
     r.slb_kept = slb_ != nullptr ? slb_->keptLocal() : 0;
     r.slb_forwarded = slb_ != nullptr ? slb_->forwarded() : 0;
     r.final_fwd_th_gbps = lbp_ != nullptr ? lbp_->fwdTh() : 0.0;

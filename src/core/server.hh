@@ -334,6 +334,8 @@ class ServerSystem
 
   private:
     double totalDynamicW() const;
+    /** SNIC plus host drops since construction. */
+    std::uint64_t processorDrops() const;
     std::uint64_t totalDrops() const;
     /** Governor counters summed over both processors. */
     proc::GovernorCounters governorTotals() const;

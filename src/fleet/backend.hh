@@ -129,7 +129,9 @@ class Backend : public net::PacketSink
 
     // --- power (feeds the fleet EnergyLedger) --------------------------
 
-    /** Monotone joules since construction. */
+    /** Joules integrated since the last resetStats() (construction
+     *  before it); monotone within a window, which the energy ledger
+     *  opens after the reset. */
     double
     joulesNow() const
     {

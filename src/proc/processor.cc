@@ -106,9 +106,8 @@ PollCore::setPowerLevel(double frac)
     // happen far more often than governor epochs.
     const double f = freqScale();
     const double watts = frac * f * f * cfg_.profile.core_active_w;
-    power_.add(watts - currentW_);
+    power_.add(watts - wattsTw_.value());
     wattsTw_.set(watts, eq_.now());
-    currentW_ = watts;
     powerLevel_ = frac;
 }
 
@@ -218,9 +217,8 @@ PollCore::startNext()
     sleepTimer_.disarm();
 
     busy_ = true;
+    busySince_ = eq_.now();
     setPowerLevel(1.0);
-    busyTime_.set(1.0, eq_.now());
-    busyMono_.set(1.0, eq_.now());
     obs::tracePacket(trace_, eq_.now(), pkt->id,
                      obs::SpanKind::ServiceStart, traceLane_,
                      traceCore_);
@@ -260,8 +258,7 @@ PollCore::finish(net::PacketPtr pkt)
     tx_.accept(std::move(pkt));
 
     busy_ = false;
-    busyTime_.set(0.0, eq_.now());
-    busyMono_.set(0.0, eq_.now());
+    busyTicks_ += eq_.now() - busySince_;
     if (stalled_) {
         setPowerLevel(stallFrac_);
         return;
@@ -285,10 +282,16 @@ PollCore::goIdle()
         sleepTimer_.armIn(cfg_.sleep.sleep_after);
 }
 
+std::uint64_t
+PollCore::busyTicksNow() const
+{
+    return busyTicks_ + (busy_ ? eq_.now() - busySince_ : 0);
+}
+
 double
 PollCore::busySecondsNow() const
 {
-    return busyMono_.integral(eq_.now()) / static_cast<double>(kSec);
+    return static_cast<double>(busyTicksNow()) / static_cast<double>(kSec);
 }
 
 void
@@ -298,20 +301,6 @@ PollCore::maybeSleep()
         sleeping_ = true;
         setPowerLevel(0.0);
     }
-}
-
-double
-PollCore::utilization() const
-{
-    return busyTime_.average(eq_.now());
-}
-
-void
-PollCore::resetStats()
-{
-    frames_ = 0;
-    bytes_ = 0;
-    busyTime_.resetAt(eq_.now());
 }
 
 Accelerator::Accelerator(EventQueue &eq, Config cfg,
@@ -476,13 +465,6 @@ Accelerator::finish(net::PacketPtr pkt)
     tx_.accept(std::move(pkt));
 }
 
-void
-Accelerator::resetStats()
-{
-    frames_ = 0;
-    bytes_ = 0;
-}
-
 Processor::Processor(EventQueue &eq, Config cfg,
                      funcs::NetworkFunction &fn,
                      coherence::CoherenceDomain *domain,
@@ -534,10 +516,10 @@ Processor::Processor(EventQueue &eq, Config cfg,
     for (unsigned i = 0; i < cfg_.cores; ++i) {
         rings_.push_back(
             std::make_unique<nic::DpdkRing>(cfg_.ring_descriptors));
-        cores_.push_back(std::make_unique<PollCore>(
-            eq, cc, *rings_.back(), fn, domain, tx, power_));
+        cores_.push_back({std::make_unique<PollCore>(
+            eq, cc, *rings_.back(), fn, domain, tx, power_)});
         nic::DpdkRing *ring = rings_.back().get();
-        PollCore *core = cores_.back().get();
+        PollCore *core = cores_.back().unit.get();
         ring->setNotify([core] { core->onWork(); });
         if (groupTable_ != nullptr)
             groupTable_->addQueue(ring);
@@ -551,7 +533,7 @@ Processor::Processor(EventQueue &eq, Config cfg,
         gov_cores.reserve(cores_.size());
         gov_rings.reserve(rings_.size());
         for (const auto &c : cores_)
-            gov_cores.push_back(c.get());
+            gov_cores.push_back(c.unit.get());
         for (const auto &r : rings_)
             gov_rings.push_back(r.get());
         governor_ = std::make_unique<CoreGovernor>(
@@ -608,7 +590,7 @@ Processor::processedFrames() const
         return accel_->processedFrames();
     std::uint64_t n = 0;
     for (const auto &c : cores_)
-        n += c->processedFrames();
+        n += c.unit->processedFrames();
     return n;
 }
 
@@ -619,7 +601,7 @@ Processor::processedBytes() const
         return accel_->processedBytes();
     std::uint64_t n = 0;
     for (const auto &c : cores_)
-        n += c->processedBytes();
+        n += c.unit->processedBytes();
     return n;
 }
 
@@ -629,7 +611,7 @@ Processor::drops() const
     std::uint64_t n = accel_ != nullptr ? accel_->drops() : 0;
     for (const auto &r : rings_)
         n += r->drops();
-    return n - statDropBase_;
+    return n;
 }
 
 double
@@ -639,7 +621,7 @@ Processor::cpuJoulesNow() const
         return accel_->feedJoulesNow();
     double j = 0.0;
     for (const auto &c : cores_)
-        j += c->joulesNow();
+        j += c.unit->joulesNow();
     return j;
 }
 
@@ -668,13 +650,13 @@ Processor::accelCurrentW() const
 double
 Processor::coreJoulesNow(unsigned idx) const
 {
-    return idx < cores_.size() ? cores_[idx]->joulesNow() : 0.0;
+    return idx < cores_.size() ? cores_[idx].unit->joulesNow() : 0.0;
 }
 
 double
 Processor::coreCurrentW(unsigned idx) const
 {
-    return idx < cores_.size() ? cores_[idx]->currentW() : 0.0;
+    return idx < cores_.size() ? cores_[idx].unit->currentW() : 0.0;
 }
 
 unsigned
@@ -694,14 +676,14 @@ void
 Processor::setCoreStalled(unsigned idx, bool stalled, double power_frac)
 {
     if (idx < cores_.size())
-        cores_[idx]->setStalled(stalled, power_frac);
+        cores_[idx].unit->setStalled(stalled, power_frac);
 }
 
 void
 Processor::stallAll(bool stalled, double power_frac)
 {
     for (const auto &c : cores_)
-        c->setStalled(stalled, power_frac);
+        c.unit->setStalled(stalled, power_frac);
 }
 
 void
@@ -731,7 +713,7 @@ Processor::aliveCores() const
         return failed_ ? 0 : cfg_.cores;
     unsigned n = 0;
     for (const auto &c : cores_)
-        if (!c->stalled())
+        if (!c.unit->stalled())
             ++n;
     return n;
 }
@@ -748,14 +730,14 @@ void
 Processor::setSpeedFactor(double f)
 {
     for (const auto &c : cores_)
-        c->setSpeedFactor(f);
+        c.unit->setSpeedFactor(f);
 }
 
 void
 Processor::forceWakeAll()
 {
     for (const auto &c : cores_)
-        c->forceWake();
+        c.unit->forceWake();
 }
 
 void
@@ -789,17 +771,18 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
         for (auto &r : rings_)
             r->setTrace(tracer, ring_lane, &eq_);
         for (std::size_t i = 0; i < cores_.size(); ++i)
-            cores_[i]->setTrace(tracer, core_lane,
-                                static_cast<std::uint32_t>(i));
+            cores_[i].unit->setTrace(tracer, core_lane,
+                                     static_cast<std::uint32_t>(i));
     }
     if (reg == nullptr)
         return;
 
     reg->fnCounter(prefix + ".frames",
-                   [this] { return processedFrames(); });
+                   [this] { return processedFrames() - windowFrames_; });
     reg->fnCounter(prefix + ".bytes",
-                   [this] { return processedBytes(); });
-    reg->fnCounter(prefix + ".drops", [this] { return drops(); });
+                   [this] { return processedBytes() - windowBytes_; });
+    reg->fnCounter(prefix + ".drops",
+                   [this] { return drops() - windowDrops_; });
 
     reg->probe(prefix + ".dyn_power_w",
                [this] { return power_.currentW(); },
@@ -832,10 +815,18 @@ Processor::attachObs(obs::StatsRegistry *reg, obs::SpanTracer *tracer,
             cfg_.ring_descriptors, 2));
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         const std::string n = std::to_string(i);
-        PollCore *core = cores_[i].get();
+        const Core *core = &cores_[i];
         nic::DpdkRing *ring = rings_[i].get();
         reg->probe(prefix + ".core" + n + ".busy_frac",
-                   [core] { return core->utilization(); },
+                   [this, core] {
+                       const Tick now = eq_.now();
+                       if (now <= windowAt_)
+                           return core->unit->busy() ? 1.0 : 0.0;
+                       return static_cast<double>(
+                                  core->unit->busyTicksNow() -
+                                  core->windowBusy) /
+                              static_cast<double>(now - windowAt_);
+                   },
                    obs::StatsRegistry::ProbeOptions{series, 0.001, 1.0,
                                                     16});
         reg->probe(
@@ -849,20 +840,14 @@ void
 Processor::resetStats()
 {
     power_.reset();
-    if (accel_ != nullptr) {
-        accel_->resetStats();
-        statDropBase_ = accel_->drops();
-    } else {
-        statDropBase_ = 0;
-    }
-    for (const auto &c : cores_)
-        c->resetStats();
     if (governor_ != nullptr)
         governor_->resetStats();
-    std::uint64_t ring_drops = 0;
-    for (const auto &r : rings_)
-        ring_drops += r->drops();
-    statDropBase_ += ring_drops;
+    windowAt_ = eq_.now();
+    windowFrames_ = processedFrames();
+    windowBytes_ = processedBytes();
+    windowDrops_ = drops();
+    for (auto &c : cores_)
+        c.windowBusy = c.unit->busyTicksNow();
 }
 
 } // namespace halsim::proc

@@ -242,30 +242,26 @@ class PollCore
 
     bool parked() const { return parked_; }
 
+    // The counters below count up from construction and are never
+    // reset: a reader windows them against a snapshot of its own.
+
     std::uint64_t processedFrames() const { return frames_; }
     std::uint64_t processedBytes() const { return bytes_; }
     bool sleeping() const { return sleeping_; }
+    bool busy() const { return busy_; }
 
-    /** Fraction of time spent actively processing since reset. */
-    double utilization() const;
+    /** Ticks spent actively processing since construction. */
+    std::uint64_t busyTicksNow() const;
 
-    /**
-     * Integrated dynamic energy of this core since construction,
-     * joules. Monotone (never reset); window accounting is done by
-     * snapshot differencing in the energy ledger, so warmup resets
-     * cannot bias it.
-     */
-    double joulesNow() const;
-
-    /**
-     * Busy time integrated since construction, seconds. Monotone
-     * (never reset, unlike utilization()'s window), so the governor
-     * can difference it per epoch across the warmup reset.
-     */
+    /** busyTicksNow() in seconds (the governor's per-epoch signal). */
     double busySecondsNow() const;
 
+    /** Integrated dynamic energy of this core since construction,
+     *  joules (the energy ledger's per-core account). */
+    double joulesNow() const;
+
     /** Absolute watts currently charged by this core. */
-    double currentW() const { return currentW_; }
+    double currentW() const { return wattsTw_.value(); }
 
     /** Attach the trace ring: dequeue-to-service records
      *  ServiceStart and completion ServiceEnd, arg = @p core index. */
@@ -276,8 +272,6 @@ class PollCore
         traceLane_ = lane;
         traceCore_ = core;
     }
-
-    void resetStats();
 
   private:
     void startNext();
@@ -307,12 +301,11 @@ class PollCore
     double stallFrac_ = 1.0;   //!< power fraction while stalled
     double speedFactor_ = 1.0; //!< fault-injected slowdown (1 = nominal)
     double powerLevel_ = 0.0;  //!< duty-cycle fraction
-    double currentW_ = 0.0;    //!< absolute watts currently charged
     std::uint64_t frames_ = 0;
     std::uint64_t bytes_ = 0;
-    TimeWeighted busyTime_;   //!< 1.0 while processing, for utilization
-    TimeWeighted busyMono_;   //!< monotone busy mirror (governor signal)
-    TimeWeighted wattsTw_;    //!< per-core watts mirror (energy ledger)
+    std::uint64_t busyTicks_ = 0;  //!< closed busy periods
+    Tick busySince_ = 0;           //!< start of the open one (busy_)
+    TimeWeighted wattsTw_;    //!< per-core watts (energy ledger)
 
     // Observability (null/inert unless attached).
     obs::SpanTracer *trace_ = nullptr;
@@ -409,8 +402,6 @@ class Accelerator
         traceLane_ = core_lane;
     }
 
-    void resetStats();
-
   private:
     void pump();
     void finish(net::PacketPtr pkt);
@@ -482,11 +473,12 @@ class Processor
     /** Max Rx-ring occupancy (the LBP's RxQ_occ signal). */
     std::uint32_t maxRingOccupancy() const;
 
-    /** Frames/bytes completed (the LBP's SNIC_TP signal). */
+    /** Frames/bytes completed since construction. Monotone: the
+     *  LBP differences bytes per epoch for its SNIC_TP signal. */
     std::uint64_t processedFrames() const;
     std::uint64_t processedBytes() const;
 
-    /** Packets tail-dropped at full rings/queues. */
+    /** Packets tail-dropped at full rings/queues since construction. */
     std::uint64_t drops() const;
 
     /** Average dynamic watts since the last reset. */
@@ -548,6 +540,8 @@ class Processor
                    const std::string &prefix, std::uint8_t ring_lane,
                    std::uint8_t core_lane, bool series = false);
 
+    /** Open the stats-tree window: snapshot the counters the
+     *  `prefix.*` stats read against, restart the power average. */
     void resetStats();
 
     const Config &config() const { return cfg_; }
@@ -611,7 +605,12 @@ class Processor
 
     // CPU mode.
     std::vector<std::unique_ptr<nic::DpdkRing>> rings_;
-    std::vector<std::unique_ptr<PollCore>> cores_;
+    struct Core
+    {
+        std::unique_ptr<PollCore> unit;
+        std::uint64_t windowBusy = 0;   //!< busy ticks at window open
+    };
+    std::vector<Core> cores_;
     nic::RssDistributor rss_;
 
     // Governor (CPU mode, cfg.governor.enabled): the indirection
@@ -627,7 +626,11 @@ class Processor
     CallbackEvent dvfsEvent_;
 
     bool failed_ = false;   //!< fail-stop state
-    std::uint64_t statDropBase_ = 0;
+
+    // The counters when the stats-tree window opened (each core's
+    // busy ticks sit in its Core slot).
+    Tick windowAt_ = 0;
+    std::uint64_t windowFrames_ = 0, windowBytes_ = 0, windowDrops_ = 0;
 };
 
 } // namespace halsim::proc

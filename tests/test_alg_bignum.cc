@@ -156,6 +156,27 @@ TEST(BigUint, FermatLittleTheorem)
     }
 }
 
+TEST(BigUint, Prime512IsTheSearchedPrime)
+{
+    // prime512() is the first probable prime at or above an odd
+    // 512-bit start drawn from Rng(0x512512). Repeat that search with
+    // the same draws, bounded by the constant, so a wrong Montgomery
+    // kernel fails here instead of searching forever.
+    const BigUint p = halsim::alg::groups::prime512();
+    EXPECT_EQ(p.bitLength(), 512u);
+    Rng rng(0x512512);
+    BigUint c = BigUint::randomBits(512, rng);
+    if (!c.isOdd())
+        c = c + BigUint(1);
+    ASSERT_LE(c, p);
+    while (c < p) {
+        EXPECT_FALSE(c.isProbablePrime(rng, 12)) << c.toHex();
+        c = c + BigUint(2);
+    }
+    EXPECT_EQ(c, p);
+    EXPECT_TRUE(p.isProbablePrime(rng, 12));
+}
+
 TEST(BigUint, RsaStyleRoundTrip)
 {
     // Tiny RSA: p = 61, q = 53, n = 3233, e = 17, d = 413.

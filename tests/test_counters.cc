@@ -81,7 +81,7 @@ const CountPoint kPoints[] = {
     // control: governor, SLO monitor and obs on
     {{"nat_hadoop", FunctionId::Nat, kMtu, 0.0, net::TraceKind::Hadoop,
       true, 5 * kMs, 20 * kMs},
-     {80134, 661, 13386, 11, 3}},
+     {80044, 661, 13389, 11, 3}},
 };
 
 /** One build and run() of @p p at seed 1, counted as perfbench

@@ -41,6 +41,47 @@ runConstant(ServerSystem &sys, double rate_gbps, Tick warmup = 20 * kMs,
                    measure);
 }
 
+/**
+ * @p burst_gbps for the first @p burst_samples resample epochs, then
+ * @p base_gbps. Adds an upper bound on the frames each epoch can
+ * carry to @p max_frames, which the caller owns because the run
+ * destroys its rate process.
+ */
+class StepDownRate : public net::RateProcess
+{
+  public:
+    StepDownRate(double burst_gbps, std::uint32_t burst_samples,
+                 double base_gbps, Tick epoch, std::size_t frame_bytes,
+                 double &max_frames)
+        : burst_(burst_gbps), base_(base_gbps), left_(burst_samples),
+          epochBits_(static_cast<double>(epoch) /
+                     static_cast<double>(kSec) * 1e9),
+          frameBits_(8.0 * static_cast<double>(frame_bytes)),
+          maxFrames_(max_frames)
+    {}
+
+    double
+    sample(Rng &) override
+    {
+        double g = base_;
+        if (left_ > 0) {
+            --left_;
+            g = burst_;
+        }
+        maxFrames_ += std::ceil(g * epochBits_ / frameBits_) + 1.0;
+        return g;
+    }
+
+    double meanGbps() const override { return base_; }
+    std::string name() const override { return "step_down"; }
+
+  private:
+    double burst_, base_;
+    std::uint32_t left_;
+    double epochBits_, frameBits_;
+    double &maxFrames_;
+};
+
 } // namespace
 
 // --- satellite: configuration validation -----------------------------
@@ -206,6 +247,33 @@ TEST(FaultDrill, HostCrashKeepsSnicServing)
     // diverted before the clamp landed can be lost.
     EXPECT_GT(r.responses, 0u);
     EXPECT_GT(r.snic_frames, r.host_frames);
+}
+
+TEST(FaultDrill, FailoverDropsSpanTheWarmupBoundary)
+{
+    // A degraded episode that opens in warmup and closes in the
+    // measurement window: the watchdog differences the drop counters
+    // across the boundary, which must not reset them. A 95 Gbps burst
+    // in the first 2 ms fills the host's accelerator queue so drops
+    // exist before the boundary; the host is down from 6 to 16 ms.
+    EventQueue eq;
+    ServerConfig cfg = cfgFor(Mode::Hal, funcs::FunctionId::Count);
+    cfg.pipeline_second = funcs::FunctionId::Crypto;
+    cfg.faults.processorFailure(fault::FaultTarget::Host, 6 * kMs,
+                                10 * kMs);
+    ServerSystem sys(eq, cfg);
+    const Tick epoch = 100 * kUs;
+    double max_frames = 0.0;
+    const RunResult r = sys.run(
+        std::make_unique<StepDownRate>(95.0, 20, 2.0, epoch,
+                                       cfg.frame_bytes, max_frames),
+        10 * kMs, 20 * kMs, epoch);
+
+    EXPECT_GE(r.failovers, 1u);
+    EXPECT_GE(r.recoveries, 1u);
+    EXPECT_LE(static_cast<double>(r.failover_drops), max_frames)
+        << "failover_drops " << r.failover_drops
+        << " exceeds every frame the run sent";
 }
 
 TEST(FaultDrill, SameSeedAndPlanReproduceIdenticalCounters)

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/hlb.hh"
 #include "core/lbp.hh"
+#include "core/server.hh"
 #include "core/slb.hh"
 #include "funcs/registry.hh"
 #include "net/traffic.hh"
@@ -353,6 +355,37 @@ TEST(Lbp, IdleWhenThresholdFarAboveThroughput)
     eq.run();
     EXPECT_EQ(lbp.adjustmentsUp() + lbp.adjustmentsDown(), 0u);
     EXPECT_NEAR(lbp.fwdTh(), 60.0, 1e-9);
+}
+
+TEST(Lbp, FirstEpochAfterWarmupReadsEpochThroughput)
+{
+    // SNIC_TP is the bytes the SNIC served over one epoch. Opening the
+    // measurement window resets no counter the LBP differences, so the
+    // first epoch after the warmup boundary reads the offered 0.8 Gbps
+    // like every other epoch, not an underflowed byte delta. With
+    // Fwd_Th at 5 Gbps, above SNIC_TP + Delta_TP, Algorithm 1 never
+    // acts.
+    EventQueue eq;
+    ServerSystem sys(eq, ServerConfig::halDefault(funcs::FunctionId::Nat));
+    ASSERT_NE(sys.lbp(), nullptr);
+    const Tick warmup = 10 * kMs;
+    const Tick epoch = sys.config().lbp.epoch;
+    // Read SNIC_TP halfway through each epoch around the boundary.
+    double max_tp = 0.0;
+    for (Tick t = warmup - 5 * epoch + epoch / 2; t < warmup + 10 * epoch;
+         t += epoch) {
+        eq.scheduleFn(
+            [&] { max_tp = std::max(max_tp, sys.lbp()->snicTpGbps()); }, t);
+    }
+    const RunResult r =
+        sys.run(std::make_unique<net::ConstantRate>(0.8), warmup,
+                40 * kMs);
+    EXPECT_GT(max_tp, 0.0);
+    EXPECT_LT(max_tp, 100.0) << "SNIC_TP above the line rate";
+    EXPECT_EQ(sys.lbp()->adjustmentsUp() + sys.lbp()->adjustmentsDown(),
+              0u);
+    EXPECT_DOUBLE_EQ(r.final_fwd_th_gbps,
+                     sys.config().lbp.initial_fwd_gbps);
 }
 
 TEST(Slb, SingleCoreDropsMostForwardedTraffic)

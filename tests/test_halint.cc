@@ -667,65 +667,6 @@ TEST(HalintW010, UnparseableSchemaIsOneDiagnostic)
     EXPECT_NE(w[0].message.find("not parseable"), std::string::npos);
 }
 
-// ---- baseline / ratchet --------------------------------------------
-
-TEST(HalintBaseline, AbsorbsCountedFindingsExactly)
-{
-    halint::Baseline bl;
-    std::string err;
-    ASSERT_TRUE(halint::loadBaseline(
-        "{\"suppressions\": [{\"rule\": \"HAL-W002\", \"file\": "
-        "\"src/a.cc\", \"count\": 1, \"reason\": \"legacy\"}]}",
-        bl, err))
-        << err;
-    std::vector<Diagnostic> diags{
-        {"src/a.cc", 3, halint::kRuleRng, "m1"},
-        {"src/a.cc", 9, halint::kRuleRng, "m2"},
-    };
-    const auto out =
-        halint::applyBaseline(diags, bl, "tools/halint_baseline.json");
-    // count=1 absorbs one finding; the second still fails the build.
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].rule, halint::kRuleRng);
-}
-
-TEST(HalintBaseline, StaleEntryRatchetsViaW000)
-{
-    halint::Baseline bl;
-    std::string err;
-    ASSERT_TRUE(halint::loadBaseline(
-        "{\"suppressions\": [{\"rule\": \"HAL-W002\", \"file\": "
-        "\"src/a.cc\", \"count\": 2, \"reason\": \"legacy\"}]}",
-        bl, err));
-    std::vector<Diagnostic> diags{
-        {"src/a.cc", 3, halint::kRuleRng, "m1"},
-    };
-    const auto out =
-        halint::applyBaseline(diags, bl, "tools/halint_baseline.json");
-    // The one real finding is absorbed, but the over-counted entry
-    // itself becomes a diagnostic: the baseline may only shrink.
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].rule, halint::kRuleDirective);
-    EXPECT_EQ(out[0].file, "tools/halint_baseline.json");
-    EXPECT_NE(out[0].message.find("stale"), std::string::npos);
-}
-
-TEST(HalintBaseline, RejectsReasonlessAndMalformedInput)
-{
-    halint::Baseline bl;
-    std::string err;
-    EXPECT_FALSE(halint::loadBaseline("not json", bl, err));
-    EXPECT_FALSE(halint::loadBaseline(
-        "{\"suppressions\": [{\"rule\": \"HAL-W002\", \"file\": "
-        "\"src/a.cc\", \"count\": 1, \"reason\": \"\"}]}",
-        bl, err));
-    EXPECT_NE(err.find("reason"), std::string::npos);
-    EXPECT_FALSE(halint::loadBaseline(
-        "{\"suppressions\": [{\"rule\": \"HAL-W002\", \"file\": "
-        "\"src/a.cc\", \"count\": 0, \"reason\": \"x\"}]}",
-        bl, err));
-}
-
 // ---- output formats ------------------------------------------------
 
 TEST(HalintOutput, TextJsonAndSarifCarryTheFinding)

@@ -4,7 +4,7 @@
  * suppression/directive machinery, and the analyzeSources()
  * orchestration that adds the cross-TU passes (HAL-W008..W010, see
  * passes.cc). The lexer lives in lexer.cc, the repo indexer in
- * index.cc, output/baseline in output.cc.
+ * index.cc, output formats in output.cc.
  */
 
 #include "halint.hh"
@@ -473,8 +473,7 @@ analyzeSources(const std::vector<SourceFile> &files)
 std::string
 ruleTable()
 {
-    return "HAL-W000  malformed halint directive or stale baseline "
-           "entry\n"
+    return "HAL-W000  malformed halint directive\n"
            "HAL-W001  wall-clock/host time source (simulated time only)\n"
            "HAL-W002  stdlib/unseeded RNG in src/ (use halsim::Rng)\n"
            "HAL-W003  unordered container in src/ (use alg::FixedMap)\n"
@@ -487,8 +486,7 @@ ruleTable()
            "'// halint: hotpath' root (call-graph pass)\n"
            "HAL-W010  RunResult kFields / registered stats drifted "
            "from tools/bench_schema.json\n"
-           "Suppress with: // halint: allow(HAL-Wnnn) <reason>, or a "
-           "counted entry in tools/halint_baseline.json\n";
+           "Suppress with: // halint: allow(HAL-Wnnn) <reason>\n";
 }
 
 std::vector<Diagnostic>

@@ -9,7 +9,7 @@
  * primitives in the DES core) that a compiler cannot check. halint promotes
  * them from DESIGN.md prose to named, suppressible diagnostics. See
  * DESIGN.md §9 for the per-file rule table and §14 for the v2
- * multi-pass engine (indexer, call graph, baseline/ratchet).
+ * multi-pass engine (indexer, call graph).
  *
  * The engine is deliberately not a C++ front end: a small lexer
  * strips comments/strings/preprocessor lines into a token stream;
@@ -94,51 +94,6 @@ std::vector<Diagnostic> lintPaths(const std::string &base,
                                   const std::vector<std::string> &roots);
 
 // --------------------------------------------------------------------
-// Baseline / ratchet (tools/halint_baseline.json)
-// --------------------------------------------------------------------
-
-/**
- * One legacy suppression: up to @p count findings of @p rule in
- * @p file are burned down over time instead of failing the build.
- * The reason is mandatory, mirroring the allow() grammar.
- */
-struct BaselineEntry
-{
-    std::string rule;
-    std::string file;
-    int count = 0;
-    std::string reason;
-};
-
-struct Baseline
-{
-    std::vector<BaselineEntry> entries;
-    int totalCount() const
-    {
-        int n = 0;
-        for (const BaselineEntry &e : entries)
-            n += e.count;
-        return n;
-    }
-};
-
-/** Parse a baseline file's JSON. Returns false (with @p err set) on
- *  malformed input — the caller should fail loudly, not lint. */
-bool loadBaseline(const std::string &json, Baseline &out,
-                  std::string &err);
-
-/**
- * Ratchet semantics: each entry removes up to `count` matching
- * (rule, file) diagnostics. An entry that matches *fewer* findings
- * than its count is stale and produces a HAL-W000 diagnostic — the
- * baseline must shrink in lockstep with the fixes, so suppressions
- * can only burn down, never silently linger or grow.
- */
-std::vector<Diagnostic> applyBaseline(std::vector<Diagnostic> diags,
-                                      const Baseline &bl,
-                                      const std::string &baselinePath);
-
-// --------------------------------------------------------------------
 // Output formats
 // --------------------------------------------------------------------
 
@@ -150,10 +105,6 @@ std::string formatJson(const std::vector<Diagnostic> &diags);
 
 /** SARIF 2.1.0, one run, for GitHub code-scanning upload. */
 std::string formatSarif(const std::vector<Diagnostic> &diags);
-
-/** Serialize findings as a baseline file (reasons stubbed TODO), for
- *  --write-baseline bootstrap. */
-std::string formatBaseline(const std::vector<Diagnostic> &diags);
 
 } // namespace halint
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Line-tracking mini JSON reader shared by the HAL-W010 schema pass
- * and the baseline loader. Handles the subset the repo's committed
- * JSON uses — objects, arrays, strings, and skipped-over scalars —
- * and records the line of every value so diagnostics can point into
- * bench_schema.json / halint_baseline.json. Not a general parser:
+ * Line-tracking mini JSON reader for the HAL-W010 schema pass.
+ * Handles the subset the repo's committed JSON uses — objects,
+ * arrays, strings, and skipped-over scalars — and records the line
+ * of every value so diagnostics can point into bench_schema.json.
+ * Not a general parser:
  * no \uXXXX decoding, duplicate keys kept as-is.
  */
 

@@ -10,8 +10,6 @@
  *   --root DIR            repo root (paths reported relative to it)
  *   --format text|json|sarif
  *   --output FILE         write the report there instead of stdout
- *   --baseline FILE       apply a ratcheted suppression baseline
- *   --write-baseline FILE bootstrap a baseline from current findings
  *   --list-rules          print the rule table and exit
  *
  * Exit status: 0 clean, 1 diagnostics found, 2 usage/IO error. Run
@@ -23,7 +21,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,8 +53,7 @@ usage(const char *prog)
     std::fprintf(
         stderr,
         "usage: %s [--root DIR] [--format text|json|sarif]\n"
-        "          [--output FILE] [--baseline FILE]\n"
-        "          [--write-baseline FILE] [--list-rules] [path...]\n"
+        "          [--output FILE] [--list-rules] [path...]\n"
         "  default paths: src bench examples tools\n",
         prog);
     return 2;
@@ -71,8 +67,6 @@ main(int argc, char **argv)
     std::string root = ".";
     std::string format = "text";
     std::string outputFile;
-    std::string baselineFile;
-    std::string writeBaselineFile;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         std::string v;
@@ -85,10 +79,6 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (flagValue(argc, argv, i, "--output", v)) {
             outputFile = v;
-        } else if (flagValue(argc, argv, i, "--baseline", v)) {
-            baselineFile = v;
-        } else if (flagValue(argc, argv, i, "--write-baseline", v)) {
-            writeBaselineFile = v;
         } else if (std::strcmp(argv[i], "--list-rules") == 0) {
             std::fputs(halint::ruleTable().c_str(), stdout);
             return 0;
@@ -104,42 +94,8 @@ main(int argc, char **argv)
         if (p[0] != '/' && root != ".")
             p = root + "/" + p;
 
-    std::vector<halint::Diagnostic> diags =
+    const std::vector<halint::Diagnostic> diags =
         halint::lintPaths(root, paths);
-
-    if (!writeBaselineFile.empty()) {
-        std::ofstream out(writeBaselineFile);
-        out << halint::formatBaseline(diags);
-        if (!out) {
-            std::fprintf(stderr, "halint: cannot write baseline %s\n",
-                         writeBaselineFile.c_str());
-            return 2;
-        }
-        std::printf("halint: wrote %zu finding(s) to %s — fill in "
-                    "the TODO reasons before committing\n",
-                    diags.size(), writeBaselineFile.c_str());
-        return 0;
-    }
-
-    if (!baselineFile.empty()) {
-        std::ifstream in(baselineFile, std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (!in) {
-            std::fprintf(stderr, "halint: cannot read baseline %s\n",
-                         baselineFile.c_str());
-            return 2;
-        }
-        halint::Baseline bl;
-        std::string err;
-        if (!halint::loadBaseline(buf.str(), bl, err)) {
-            std::fprintf(stderr, "halint: %s: %s\n",
-                         baselineFile.c_str(), err.c_str());
-            return 2;
-        }
-        diags = halint::applyBaseline(std::move(diags), bl,
-                                      baselineFile);
-    }
 
     std::string report;
     if (format == "json")
@@ -167,9 +123,8 @@ main(int argc, char **argv)
         else
             std::printf(
                 "halint: %zu diagnostic(s); suppress a justified one "
-                "with '// halint: allow(HAL-Wnnn) <reason>' or a "
-                "counted tools/halint_baseline.json entry "
-                "(see DESIGN.md §9, §14)\n",
+                "with '// halint: allow(HAL-Wnnn) <reason>' "
+                "(see DESIGN.md §9)\n",
                 diags.size());
     }
     return diags.empty() ? 0 : 1;
